@@ -140,6 +140,8 @@ def _bounds(args) -> Optional[tuple[int, int]]:
         return None
     if args.stem_bound is None or args.loop_bound is None:
         raise HypersynthError("--stem-bound and --loop-bound must be given together")
+    if args.stem_bound < 0 or args.loop_bound < 1:
+        raise HypersynthError("--stem-bound must be >= 0 and --loop-bound >= 1")
     return (args.stem_bound, args.loop_bound)
 
 

@@ -335,16 +335,13 @@ def encode_strategy(plant: Plant, strategy: Strategy) -> ControllerSolution:
     Raises PartialStrategy when the chosen action is not available at some
     T-turn state.
     """
-    by_state: dict[str, list[tuple[str, str]]] = {}
-    for a, b in plant.c_edges:
-        by_state.setdefault(a, []).append((a, b))
     retained: set[tuple[str, str]] = set()
-    for state, edges in sorted(by_state.items()):
-        if len(edges) == 1 and edges[0] == (state, state):
-            retained.add(edges[0])  # leaf self-loop
+    for state, succ in sorted(plant.index.c_succ.items()):
+        if succ == [state]:
+            retained.add((state, state))  # leaf self-loop
             continue
         history = state.split("/")[1:]
-        available = tuple(sorted(b.rsplit("/", 1)[1] for _, b in edges))
+        available = tuple(sorted(b.rsplit("/", 1)[1] for b in succ))
         action = strategy(history, available)
         target = f"{state}/{action}"
         chosen = (state, target)

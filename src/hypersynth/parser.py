@@ -13,8 +13,9 @@ Grammar (binding strength increases downward, U is right-associative):
     unary   := ("!" | "X" | "F" | "G") unary | primary
     primary := "true" | "false" | IDENT "[" IDENT "]" | "(" body ")"
 
-"false" parses to Not(true); the printer emits it back as "false", so the
-round trip is stable.  "#" starts a comment that runs to end of line.
+A body nested deeper than MAX_NESTING operators or parentheses is a
+ParseError.  "false" parses to Not(true); the printer emits it back as
+"false", so the round trip is stable.  "#" starts a comment to end of line.
 """
 
 from __future__ import annotations
@@ -42,6 +43,22 @@ from .formula import (
 
 _KEYWORDS = {"forall", "exists", "true", "false", "U", "X", "F", "G"}
 _SYMBOLS = ("<->", "->", "|", "&", "!", "(", ")", "[", "]", ".")
+
+# binary operator -> (binding level, right-associative, constructor);
+# higher levels bind tighter
+_BINARY = {
+    "<->": (0, False, Iff),
+    "->": (1, True, Implies),
+    "|": (2, False, Or),
+    "&": (3, False, And),
+    "U": (4, True, Until),
+}
+_PREFIX = {"!": Not, "X": Next, "F": Eventually, "G": Globally}
+
+# Walkers over bodies recurse, the parser and eval_body at most twice per
+# level, so bodies within this depth parse and evaluate well inside the
+# interpreter's default recursion limit of 1000 frames.
+MAX_NESTING = 250
 
 
 @dataclass(frozen=True)
@@ -139,56 +156,44 @@ class _Parser:
             self.advance()
             prefix.append((quant, tok.text))
             self.expect_sym(".")
-        body = self.iff()
+        body, _ = self.body()
         tok = self.peek()
         if tok.kind != "eof":
             self.fail(f"trailing input {tok.text!r}")
         return Formula(tuple(prefix), body)
 
-    def iff(self) -> Body:
-        node = self.implies()
-        while self.at_sym("<->"):
+    def body(self, budget: int = MAX_NESTING, min_level: int = 0) -> tuple[Body, int]:
+        """Precedence climbing: a body whose top binary operator binds at
+        least ``min_level``, with its operator height.  Every operator and
+        parenthesis spends one level of ``budget``, so the parser recurses
+        at most twice per level."""
+        node, height = self.unary(budget)
+        while True:
+            tok = self.peek()
+            op = None if tok.kind == "ident" else _BINARY.get(tok.text)
+            if op is None or op[0] < min_level:
+                return node, height
+            level, right_assoc, ctor = op
+            if height >= budget:
+                self.too_deep()
             self.advance()
-            node = Iff(node, self.implies())
-        return node
+            rhs, rhs_height = self.body(budget - 1, level if right_assoc else level + 1)
+            node, height = ctor(node, rhs), 1 + max(height, rhs_height)
 
-    def implies(self) -> Body:
-        node = self.disj()
-        if self.at_sym("->"):
-            self.advance()
-            return Implies(node, self.implies())
-        return node
-
-    def disj(self) -> Body:
-        node = self.conj()
-        while self.at_sym("|"):
-            self.advance()
-            node = Or(node, self.conj())
-        return node
-
-    def conj(self) -> Body:
-        node = self.until()
-        while self.at_sym("&"):
-            self.advance()
-            node = And(node, self.until())
-        return node
-
-    def until(self) -> Body:
-        node = self.unary()
-        if self.at_kw("U"):
-            self.advance()
-            return Until(node, self.until())
-        return node
-
-    def unary(self) -> Body:
-        if self.at_sym("!"):
-            self.advance()
-            return Not(self.unary())
-        for word, ctor in (("X", Next), ("F", Eventually), ("G", Globally)):
-            if self.at_kw(word):
-                self.advance()
-                return ctor(self.unary())
-        return self.primary()
+    def unary(self, budget: int) -> tuple[Body, int]:
+        tok = self.peek()
+        ctor = None if tok.kind == "ident" else _PREFIX.get(tok.text)
+        if ctor is None and not self.at_sym("("):
+            return self.primary(), 0
+        if budget < 1:
+            self.too_deep()
+        self.advance()
+        if ctor is not None:
+            node, height = self.unary(budget - 1)
+            return ctor(node), height + 1
+        node, height = self.body(budget - 1)
+        self.expect_sym(")")
+        return node, height
 
     def primary(self) -> Body:
         tok = self.peek()
@@ -198,11 +203,6 @@ class _Parser:
         if self.at_kw("false"):
             self.advance()
             return Not(TrueBool())
-        if self.at_sym("("):
-            self.advance()
-            node = self.iff()
-            self.expect_sym(")")
-            return node
         if tok.kind == "ident":
             self.advance()
             self.expect_sym("[")
@@ -214,6 +214,9 @@ class _Parser:
             return Atom(tok.text, var.text)
         self.fail(f"unexpected token {tok.text!r}")
 
+    def too_deep(self):
+        self.fail(f"formula nested deeper than {MAX_NESTING} levels")
+
 
 def parse(text: str) -> Formula:
     """Parse a closed formula; raises ParseError, UnboundVariable, or
@@ -224,7 +227,7 @@ def parse(text: str) -> Formula:
 def parse_body(text: str) -> Body:
     """Parse a bare body (no quantifier prefix, free variables allowed)."""
     parser = _Parser(_tokenize(text))
-    node = parser.iff()
+    node, _ = parser.body()
     tok = parser.peek()
     if tok.kind != "eof":
         parser.fail(f"trailing input {tok.text!r}")

@@ -7,6 +7,10 @@ maximal path is infinite and traces are infinite words over letters
 (letter = set of proposition names).  Tree and acyclic frames only loop
 via self-loops on terminal states, which makes their trace sets finite
 and exactly representable as lassos with a one-letter loop.
+
+Structure derived from a plant lives in its :class:`PlantIndex`, built per
+``Plant`` instance and computed part by part on first read: classification
+is one linear Kahn pass, whoever asks.  Nothing is cached across instances.
 """
 
 from __future__ import annotations
@@ -14,8 +18,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from math import gcd
-from typing import Iterable, Mapping
+from functools import cached_property
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import (
     DanglingReference,
@@ -69,6 +73,11 @@ class Plant:
         }
         object.__setattr__(self, "labeling", labels)
 
+    @cached_property
+    def index(self) -> "PlantIndex":
+        """The structural index of this instance, built on first use."""
+        return PlantIndex(self)
+
     @property
     def edges(self) -> frozenset[Edge]:
         return self.c_edges | self.u_edges
@@ -77,7 +86,7 @@ class Plant:
         return self.labeling.get(state, frozenset())
 
     def successors(self, state: str) -> list[str]:
-        return sorted(t for (s, t) in self.edges if s == state)
+        return list(self.index.adjacency[state])
 
     def atomic_propositions(self) -> frozenset[str]:
         props: set[str] = set()
@@ -108,27 +117,9 @@ def validate(plant: Plant) -> None:
     overlap = plant.c_edges & plant.u_edges
     if overlap:
         raise OverlappingEdge(min(overlap))
-    out = {s: 0 for s in plant.states}
-    for a, _ in plant.edges:
-        out[a] += 1
-    for s in sorted(plant.states):
-        if out[s] == 0:
-            raise DeadlockState(s)
-
-
-def _adjacency(plant: Plant) -> dict[str, list[str]]:
-    adj: dict[str, list[str]] = {s: [] for s in plant.states}
-    for a, b in plant.edges:
-        adj[a].append(b)
-    for lst in adj.values():
-        lst.sort()
-    return adj
-
-
-def terminal_states(plant: Plant) -> frozenset[str]:
-    """States whose only outgoing transition is a self-loop."""
-    adj = _adjacency(plant)
-    return frozenset(s for s, succ in adj.items() if succ == [s])
+    dead = plant.index.deadlocks
+    if dead:
+        raise DeadlockState(dead[0])
 
 
 def classify_frame(plant: Plant) -> FrameKind:
@@ -138,41 +129,10 @@ def classify_frame(plant: Plant) -> FrameKind:
     additionally requires a unique predecessor for every state except the
     root (terminal self-loops do not count as predecessors); the root must
     be the initial state.  A single state with a self-loop is a tree whose
-    root and leaf coincide.
+    root and leaf coincide.  Computed once per plant instance, in linear
+    time (see :attr:`PlantIndex.frame`).
     """
-    adj = _adjacency(plant)
-    terminals = frozenset(s for s, succ in adj.items() if succ == [s])
-
-    for s, succ in adj.items():
-        if s in succ and s not in terminals:
-            return FrameKind.GENERAL
-
-    # Cycle check on the frame without terminal self-loops (Kahn).
-    indeg = {s: 0 for s in plant.states}
-    proper = [(a, b) for a, b in plant.edges if not (a == b and a in terminals)]
-    for _, b in proper:
-        indeg[b] += 1
-    queue = [s for s in plant.states if indeg[s] == 0]
-    seen = 0
-    while queue:
-        s = queue.pop()
-        seen += 1
-        for a, b in proper:
-            if a == s:
-                indeg[b] -= 1
-                if indeg[b] == 0:
-                    queue.append(b)
-    if seen != len(plant.states):
-        return FrameKind.GENERAL
-
-    preds: dict[str, int] = {s: 0 for s in plant.states}
-    for a, b in proper:
-        preds[b] += 1
-    if preds[plant.init] != 0:
-        return FrameKind.ACYCLIC
-    if any(preds[s] != 1 for s in plant.states if s != plant.init):
-        return FrameKind.ACYCLIC
-    return FrameKind.TREE
+    return plant.index.frame
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,18 +207,130 @@ def lasso_equal(x: Lasso, y: Lasso) -> bool:
     return canonical(x) == canonical(y)
 
 
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
+class PathRow(NamedTuple):
+    """A maximal path: its terminal state, the controllable edges it
+    crosses (terminal self-loop included), and its canonical trace."""
+
+    terminal: str
+    c_used: tuple[Edge, ...]
+    lasso: Lasso
 
 
-def unroll_equal(x: Lasso, y: Lasso) -> bool:
-    """Decide word equality by explicit unrolling; used to cross-check
-    :func:`lasso_equal`.  From position max(|stems|) onward both words are
-    periodic with period lcm(|loops|), so agreement on the prefix up to
-    that horizon plus one full joint period decides equality."""
-    s = max(len(x.stem), len(y.stem))
-    p = _lcm(len(x.loop), len(y.loop))
-    return x.prefix(s + p) == y.prefix(s + p)
+class PlantIndex:
+    """Structure derived from one plant, each part computed on first read.
+    It keeps the plant's fields, not the plant, so the two form no
+    reference cycle.  Successor lists are sorted."""
+
+    def __init__(self, plant: Plant):
+        self._states = plant.states
+        self._init = plant.init
+        self._c_edges = plant.c_edges
+        self._u_edges = plant.u_edges
+        self._labeling = plant.labeling
+
+    @staticmethod
+    def _successors(edges, sources) -> dict[str, list[str]]:
+        succ: dict[str, list[str]] = {s: [] for s in sources}
+        for a, b in edges:
+            succ[a].append(b)
+        for lst in succ.values():
+            lst.sort()
+        return succ
+
+    @cached_property
+    def adjacency(self) -> dict[str, list[str]]:
+        """Successors of every state over all edges."""
+        return self._successors(self._c_edges | self._u_edges, self._states)
+
+    @cached_property
+    def c_succ(self) -> dict[str, list[str]]:
+        """Successors over the controllable edges, keyed by their sources."""
+        return self._successors(self._c_edges, {a for a, _ in self._c_edges})
+
+    @cached_property
+    def u_succ(self) -> dict[str, list[str]]:
+        """Successors over the uncontrollable edges, keyed by their sources."""
+        return self._successors(self._u_edges, {a for a, _ in self._u_edges})
+
+    @cached_property
+    def terminals(self) -> frozenset[str]:
+        """States whose only outgoing transition is a self-loop."""
+        return frozenset(s for s, succ in self.adjacency.items() if succ == [s])
+
+    @cached_property
+    def deadlocks(self) -> list[str]:
+        """States without an outgoing transition, sorted."""
+        return sorted(s for s, succ in self.adjacency.items() if not succ)
+
+    @cached_property
+    def frame(self) -> FrameKind:
+        """The frame kind (see :func:`classify_frame`), from one Kahn pass
+        over the adjacency with terminal self-loops left out: O(V + E)."""
+        adj, terminals = self.adjacency, self.terminals
+        indeg = dict.fromkeys(adj, 0)
+        for s, succ in adj.items():
+            if s in terminals:
+                continue
+            for t in succ:
+                if t == s:
+                    return FrameKind.GENERAL
+                indeg[t] += 1
+        preds = dict(indeg)
+        queue = [s for s, d in indeg.items() if d == 0]
+        seen = 0
+        while queue:
+            s = queue.pop()
+            seen += 1
+            if s in terminals:
+                continue
+            for t in adj[s]:
+                indeg[t] -= 1
+                if indeg[t] == 0:
+                    queue.append(t)
+        if seen != len(adj):
+            return FrameKind.GENERAL
+        init = self._init
+        if preds[init] == 0 and all(n == 1 for s, n in preds.items() if s != init):
+            return FrameKind.TREE
+        return FrameKind.ACYCLIC
+
+    @cached_property
+    def paths(self) -> tuple[PathRow, ...]:
+        """Every maximal path from init, by one DFS; raises NotAcyclic on
+        general frames."""
+        if self.frame is FrameKind.GENERAL:
+            raise NotAcyclic()
+        adj, terminals, c_edges = self.adjacency, self.terminals, self._c_edges
+        labeling, empty = self._labeling, frozenset()
+        rows: list[PathRow] = []
+        stack = [(self._init, (), ())]  # state, labels so far, c-edges so far
+        while stack:
+            state, labels, used = stack.pop()
+            if state in terminals:
+                loop_edge = (state, state)
+                if loop_edge in c_edges:
+                    used += (loop_edge,)
+                lasso = canonical(Lasso(labels, (labeling.get(state, empty),)))
+                rows.append(PathRow(state, used, lasso))
+                continue
+            here = labels + (labeling.get(state, empty),)
+            for nxt in adj[state]:
+                edge = (state, nxt)
+                stack.append((nxt, here, used + (edge,) if edge in c_edges else used))
+        return tuple(rows)
+
+    @cached_property
+    def reachable(self) -> frozenset[str]:
+        """States reachable from init."""
+        adj = self.adjacency
+        seen = {self._init}
+        stack = [self._init]
+        while stack:
+            for t in adj[stack.pop()]:
+                if t not in seen:
+                    seen.add(t)
+                    stack.append(t)
+        return frozenset(seen)
 
 
 def enumerate_traces(plant: Plant) -> frozenset[Lasso]:
@@ -268,22 +340,7 @@ def enumerate_traces(plant: Plant) -> frozenset[Lasso]:
     lasso with a one-letter loop.  Traces are words: paths with identical
     label sequences collapse.  Raises NotAcyclic on general frames.
     """
-    if classify_frame(plant) is FrameKind.GENERAL:
-        raise NotAcyclic()
-    adj = _adjacency(plant)
-    terminals = frozenset(s for s, succ in adj.items() if succ == [s])
-    out: set[Lasso] = set()
-    stack: list[tuple[str, tuple[Letter, ...]]] = [(plant.init, ())]
-    while stack:
-        state, labels = stack.pop()
-        if state in terminals:
-            out.add(canonical(Lasso(labels, (plant.label(state),))))
-            continue
-        for nxt in adj[state]:
-            if nxt == state:
-                continue  # cannot happen on non-terminals of acyclic frames
-            stack.append((nxt, labels + (plant.label(state),)))
-    return frozenset(out)
+    return frozenset(row.lasso for row in plant.index.paths)
 
 
 def enumerate_lassos(
@@ -298,7 +355,7 @@ def enumerate_lassos(
     """
     if stem_bound < 0 or loop_bound < 1:
         raise ValueError("bounds must be nonnegative / positive")
-    adj = _adjacency(plant)
+    adj = plant.index.adjacency
 
     # walk prefixes up to the stem bound, deduplicated by (state, labels)
     stems: set[tuple[str, tuple[Letter, ...]]] = {(plant.init, ())}

@@ -597,21 +597,6 @@ def qbf_to_instance(qbf: QbfInput) -> SynthesisInstance:
 # --- decoding ---------------------------------------------------------------
 
 
-def _reachable(plant: Plant) -> set[str]:
-    seen = {plant.init}
-    stack = [plant.init]
-    adj: dict[str, list[str]] = {s: [] for s in plant.states}
-    for a, b in plant.edges:
-        adj[a].append(b)
-    while stack:
-        s = stack.pop()
-        for t in adj[s]:
-            if t not in seen:
-                seen.add(t)
-                stack.append(t)
-    return seen
-
-
 def decode_assignment(
     instance: SynthesisInstance, sol: ControllerSolution
 ) -> dict[int, bool]:
@@ -625,7 +610,7 @@ def decode_assignment(
     kind = meta.get("kind") if isinstance(meta, Mapping) else None
     pruned = apply_solution(instance.plant, sol)
     if kind == "horn":
-        reachable = _reachable(pruned)
+        reachable = pruned.index.reachable
         out: dict[int, bool] = {}
         for var_str, state in meta["v_state"].items():
             var = int(var_str)
@@ -646,7 +631,7 @@ def decode_assignment(
             out.setdefault(var, False)
         return out
     if kind == "qbf":
-        reachable = _reachable(pruned)
+        reachable = pruned.index.reachable
         # deadlock freedom keeps at least one of s/sbar reachable; prefer
         # the positive choice when the controller kept both
         return {entry["var"]: entry["s"] in reachable for entry in meta["block1"]}

@@ -170,11 +170,6 @@ def eval_body(
     return values(body)[0]
 
 
-def shift_assignment(asg: TraceAssignment, k: int) -> dict[str, Lasso]:
-    """Drop the first k positions of every bound trace."""
-    return {var: lasso.suffix(k) for var, lasso in asg.items()}
-
-
 def eval_quantified(
     f: Formula,
     trace_set: frozenset[Lasso] | set[Lasso],
@@ -259,10 +254,7 @@ def check(
     general frames the trace set is the bounded lasso enumeration (given
     or default bounds) and the verdict is flagged as not exact.
     """
-    frame = classify_frame(plant)
-    if frame is FrameKind.GENERAL:
-        stem_bound, loop_bound = bounds if bounds is not None else default_bounds(plant)
-        traces = enumerate_lassos(plant, stem_bound, loop_bound)
+    if classify_frame(plant) is FrameKind.GENERAL:
+        traces = enumerate_lassos(plant, *(bounds or default_bounds(plant)))
         return CheckResult(eval_quantified(f, traces, horizon), exact=False)
-    traces = enumerate_traces(plant)
-    return CheckResult(eval_quantified(f, traces, horizon), exact=True)
+    return CheckResult(eval_quantified(f, enumerate_traces(plant), horizon), exact=True)

@@ -55,7 +55,6 @@ from .plant import (
     FrameKind,
     Lasso,
     Plant,
-    canonical,
     classify_frame,
     default_bounds,
     enumerate_lassos,
@@ -118,12 +117,9 @@ def apply_solution(plant: Plant, sol: ControllerSolution) -> Plant:
         u_edges=plant.u_edges,
         labeling=plant.labeling,
     )
-    out = {s: 0 for s in pruned.states}
-    for a, _ in pruned.edges:
-        out[a] += 1
-    for s in sorted(pruned.states):
-        if out[s] == 0:
-            raise DeadlockIntroduced(s)
+    dead = pruned.index.deadlocks
+    if dead:
+        raise DeadlockIntroduced(dead[0])
     return pruned
 
 
@@ -134,11 +130,11 @@ def _choice_points(plant: Plant) -> list[tuple[str, list[Edge], bool]]:
     """Per state: its controllable out-edges (sorted) and whether it also
     has an uncontrollable out-edge.  Only states with controllable
     out-edges are choice points."""
-    c_out: dict[str, list[Edge]] = {}
-    for a, b in sorted(plant.c_edges):
-        c_out.setdefault(a, []).append((a, b))
-    has_u = {a for a, _ in plant.u_edges}
-    return [(s, edges, s in has_u) for s, edges in sorted(c_out.items())]
+    idx = plant.index
+    return [
+        (s, [(s, t) for t in succ], s in idx.u_succ)
+        for s, succ in sorted(idx.c_succ.items())
+    ]
 
 
 def candidate_space_bits(plant: Plant) -> float:
@@ -178,37 +174,6 @@ def _removals(plant: Plant) -> Iterator[frozenset[Edge]]:
             yield frozenset().union(*parts) if parts else frozenset()
 
 
-def _exact_path_table(plant: Plant) -> list[tuple[frozenset[Edge], Lasso]]:
-    """For tree/acyclic frames: every maximal path with the controllable
-    edges it crosses and its trace.  Pruning never rewrites a surviving
-    path, so a candidate's trace set is exactly the lassos of the paths
-    whose controllable edges are all retained."""
-    adj: dict[str, list[str]] = {s: [] for s in plant.states}
-    for a, b in sorted(plant.edges):
-        adj[a].append(b)
-    terminals = {s for s, succ in adj.items() if succ == [s]}
-    out: list[tuple[frozenset[Edge], Lasso]] = []
-    stack: list[tuple[str, tuple, frozenset[Edge]]] = [
-        (plant.init, (), frozenset())
-    ]
-    while stack:
-        state, labels, used = stack.pop()
-        if state in terminals:
-            loop_edge = (state, state)
-            if loop_edge in plant.c_edges:
-                used = used | {loop_edge}
-            out.append((used, canonical(Lasso(labels, (plant.label(state),)))))
-            continue
-        here = labels + (plant.label(state),)
-        for nxt in adj[state]:
-            if nxt == state:
-                continue
-            edge = (state, nxt)
-            nxt_used = used | {edge} if edge in plant.c_edges else used
-            stack.append((nxt, here, nxt_used))
-    return out
-
-
 def synth_generic(
     plant: Plant,
     f: Formula,
@@ -224,6 +189,11 @@ def synth_generic(
     the trace set, which can never help an E* formula.  The candidate
     space guard refuses searches beyond 2**max_candidate_bits candidates
     (pass None to disable).
+
+    On a general frame every pruning is judged on its bounded lasso set,
+    acyclic prunings included, so the search can answer BoundedUnknown
+    where ``check`` on one of its prunings, switching to that pruning's
+    exact traces, says the formula holds.
     """
     validate(plant)
     frame = classify_frame(plant)
@@ -232,11 +202,14 @@ def synth_generic(
     purely_universal = all(q is Quantifier.FORALL for q, _ in f.prefix)
 
     if exact:
-        paths = _exact_path_table(plant)
+        # pruning never rewrites a surviving path, so a candidate's trace
+        # set is exactly the lassos of the paths whose controllable edges
+        # are all retained
+        paths = plant.index.paths
 
         def trace_set(retained: frozenset[Edge]) -> frozenset[Lasso]:
             return frozenset(
-                lasso for used, lasso in paths if used <= retained
+                row.lasso for row in paths if retained.issuperset(row.c_used)
             )
 
     else:
@@ -283,69 +256,43 @@ def synth_generic(
 # --- tree structure ----------------------------------------------------------
 
 
-@dataclass
-class _TreeIndex:
-    root: str
-    u_children: dict[str, list[str]]
-    c_children: dict[str, list[str]]  # terminal self-loops excluded
-    terminals: frozenset[str]
-    leaf_trace: dict[str, Lasso]  # canonical trace per terminal state
-
-
-def _tree_index(plant: Plant) -> _TreeIndex:
-    succ_u: dict[str, list[str]] = {s: [] for s in plant.states}
-    succ_c: dict[str, list[str]] = {s: [] for s in plant.states}
-    for a, b in sorted(plant.u_edges):
-        succ_u[a].append(b)
-    for a, b in sorted(plant.c_edges):
-        succ_c[a].append(b)
-    terminals = frozenset(
-        s for s in plant.states if succ_u[s] + succ_c[s] == [s]
-    )
-    leaf_trace: dict[str, Lasso] = {}
-    stack: list[tuple[str, tuple]] = [(plant.init, ())]
-    while stack:
-        state, labels = stack.pop()
-        if state in terminals:
-            leaf_trace[state] = canonical(Lasso(labels, (plant.label(state),)))
-            continue
-        here = labels + (plant.label(state),)
-        for nxt in succ_u[state] + succ_c[state]:
-            if nxt != state:
-                stack.append((nxt, here))
-    c_children = {s: [t for t in succ_c[s] if t != s] for s in plant.states}
-    u_children = {s: [t for t in succ_u[s] if t != s] for s in plant.states}
-    return _TreeIndex(plant.init, u_children, c_children, terminals, leaf_trace)
-
-
-def _keepable_fn(idx: _TreeIndex, leaf_ok):
+class _Keepable:
     """Memoized bottom-up feasibility: a subtree can be kept iff it can be
-    pruned so that every remaining leaf passes leaf_ok.  With
-    uncontrollable children all of them must succeed; with only
-    controllable children some child must."""
-    memo: dict[str, bool] = {}
+    pruned so that every remaining leaf passes leaf_ok (called with the
+    terminal state).  With uncontrollable children all of them must
+    succeed; with only controllable children some child must.  Tree
+    non-terminals have no self-loops, so successors are children.
 
-    def rec(s: str) -> bool:
-        got = memo.get(s)
+    A callable object rather than a recursive closure: the closure would
+    be a reference cycle holding the plant's index until the next full
+    garbage collection."""
+
+    def __init__(self, plant: Plant, leaf_ok):
+        self.idx = plant.index
+        self.leaf_ok = leaf_ok
+        self.memo: dict[str, bool] = {}
+
+    def __call__(self, s: str) -> bool:
+        got = self.memo.get(s)
         if got is not None:
             return got
+        idx = self.idx
         if s in idx.terminals:
-            result = leaf_ok(idx.leaf_trace[s])
-        elif idx.u_children[s]:
-            result = all(rec(c) for c in idx.u_children[s])
+            result = self.leaf_ok(s)
+        elif s in idx.u_succ:
+            result = all(self(c) for c in idx.u_succ[s])
         else:
-            result = any(rec(c) for c in idx.c_children[s])
-        memo[s] = result
+            result = any(self(c) for c in idx.c_succ[s])
+        self.memo[s] = result
         return result
 
-    return rec
 
-
-def _kept_states(idx: _TreeIndex, keepable) -> set[str]:
+def _kept_states(plant: Plant, keepable) -> set[str]:
     """States reachable when every keepable controllable child is retained
     (maximally permissive pruning)."""
+    idx = plant.index
     kept: set[str] = set()
-    stack = [idx.root]
+    stack = [plant.init]
     while stack:
         s = stack.pop()
         if s in kept:
@@ -353,29 +300,18 @@ def _kept_states(idx: _TreeIndex, keepable) -> set[str]:
         kept.add(s)
         if s in idx.terminals:
             continue
-        for c in idx.u_children[s]:
-            stack.append(c)
-        for c in idx.c_children[s]:
-            if keepable(c):
-                stack.append(c)
+        stack += idx.u_succ.get(s, ())
+        stack += (c for c in idx.c_succ.get(s, ()) if keepable(c))
     return kept
 
 
-def _retained_for(
-    plant: Plant, idx: _TreeIndex, keepable, kept: set[str]
-) -> frozenset[Edge]:
+def _retained_for(plant: Plant, keepable, kept: set[str]) -> frozenset[Edge]:
     """Maximal retained edge set for the kept subtree: keep everything at
-    unreachable states (totality), terminal self-loops, and controllable
-    edges into keepable subtrees."""
-    retained: set[Edge] = set()
-    for a, b in plant.c_edges:
-        if a not in kept:
-            retained.add((a, b))
-        elif a == b and a in idx.terminals:
-            retained.add((a, b))
-        elif b != a and keepable(b):
-            retained.add((a, b))
-    return frozenset(retained)
+    unreachable states (totality), terminal self-loops (the only self-loops
+    of a tree), and controllable edges into keepable subtrees."""
+    return frozenset(
+        (a, b) for a, b in plant.c_edges if a not in kept or a == b or keepable(b)
+    )
 
 
 # --- specialized tree algorithms ----------------------------------------------
@@ -400,8 +336,8 @@ def synth_tree_exists_forall(
     fragment = classify_fragment(f)
     if fragment.kind is not FragmentKind.E_STAR_A:
         raise FragmentMismatch("E*A", str(fragment))
-    idx = _tree_index(plant)
-    traces = sorted(set(idx.leaf_trace.values()), key=Lasso.sort_key)
+    leaf_trace = {row.terminal: row.lasso for row in plant.index.paths}
+    traces = sorted(set(leaf_trace.values()), key=Lasso.sort_key)
     names = f.variables
     evars, uvar = names[:-1], names[-1]
 
@@ -418,14 +354,14 @@ def synth_tree_exists_forall(
 
         if not all(good(t) for t in set(witness)):
             continue
-        keepable = _keepable_fn(idx, good)
-        if not keepable(idx.root):
+        keepable = _Keepable(plant, lambda s: good(leaf_trace[s]))
+        if not keepable(plant.init):
             continue
-        kept = _kept_states(idx, keepable)
-        kept_traces = {idx.leaf_trace[s] for s in kept if s in idx.terminals}
+        kept = _kept_states(plant, keepable)
+        kept_traces = {leaf_trace[s] for s in kept if s in leaf_trace}
         if not all(t in kept_traces for t in witness):
             continue
-        retained = _retained_for(plant, idx, keepable, kept)
+        retained = _retained_for(plant, keepable, kept)
         return SynthesisResult(Verdict.REALIZABLE, ControllerSolution(retained), True)
     return SynthesisResult(Verdict.UNREALIZABLE, None, True)
 
@@ -452,7 +388,7 @@ def synth_tree_marking(
     fragment = classify_fragment(f)
     if fragment.kind is not FragmentKind.A_E_STAR:
         raise FragmentMismatch("AE*", str(fragment))
-    idx = _tree_index(plant)
+    leaf_trace = {row.terminal: row.lasso for row in plant.index.paths}
     names = f.variables
     uvar, evars = names[0], names[1:]
     body_memo: dict[tuple, bool] = {}
@@ -466,7 +402,7 @@ def synth_tree_marking(
             body_memo[key] = got
         return got
 
-    marked = sorted(set(idx.leaf_trace.values()), key=Lasso.sort_key)
+    marked = sorted(set(leaf_trace.values()), key=Lasso.sort_key)
     while True:
         # marking rounds: greatest set of traces that support each other
         while True:
@@ -481,13 +417,13 @@ def synth_tree_marking(
         if not marked:
             return SynthesisResult(Verdict.UNREALIZABLE, None, True)
         marked_set = set(marked)
-        keepable = _keepable_fn(idx, lambda tr: tr in marked_set)
-        if not keepable(idx.root):
+        keepable = _Keepable(plant, lambda s: leaf_trace[s] in marked_set)
+        if not keepable(plant.init):
             return SynthesisResult(Verdict.UNREALIZABLE, None, True)
-        kept = _kept_states(idx, keepable)
-        kept_traces = {idx.leaf_trace[s] for s in kept if s in idx.terminals}
+        kept = _kept_states(plant, keepable)
+        kept_traces = {leaf_trace[s] for s in kept if s in leaf_trace}
         if kept_traces == marked_set:
-            retained = _retained_for(plant, idx, keepable, kept)
+            retained = _retained_for(plant, keepable, kept)
             return SynthesisResult(
                 Verdict.REALIZABLE, ControllerSolution(retained), True
             )

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from itertools import product
+from math import gcd
 from typing import Optional, Sequence
 
 from hypersynth.formula import (
@@ -31,7 +32,7 @@ from hypersynth.formula import (
     TrueBool,
     Until,
 )
-from hypersynth.plant import Lasso, Plant, enumerate_traces
+from hypersynth.plant import FrameKind, Lasso, Plant, enumerate_traces
 from hypersynth.reductions import CnfInput, NormalizedHorn, QbfInput
 from hypersynth.semantics import eval_quantified
 
@@ -164,6 +165,56 @@ def qbf_brute_fixed(qbf: QbfInput, fixed: dict[int, bool]) -> bool:
         return any(branches) if quant is Quantifier.EXISTS else all(branches)
 
     return rec(dict(fixed), 0)
+
+
+# --- lasso and frame references ---------------------------------------------
+
+
+def unroll_equal(x: Lasso, y: Lasso) -> bool:
+    """Decide word equality by explicit unrolling; used to cross-check
+    :func:`lasso_equal`.  From position max(|stems|) onward both words are
+    periodic with period lcm(|loops|), so agreement on the prefix up to
+    that horizon plus one full joint period decides equality."""
+    s = max(len(x.stem), len(y.stem))
+    p = len(x.loop) * len(y.loop) // gcd(len(x.loop), len(y.loop))
+    return x.prefix(s + p) == y.prefix(s + p)
+
+
+def shift_assignment(asg: dict[str, Lasso], k: int) -> dict[str, Lasso]:
+    """Drop the first k positions of every bound trace."""
+    return {var: lasso.suffix(k) for var, lasso in asg.items()}
+
+
+def classify_frame_reference(plant: Plant) -> FrameKind:
+    """Frame kind by recursive DFS cycle detection and predecessor counts,
+    sharing no code with the plant index.  Terminal states are those whose
+    only edge is a self-loop; any other loop makes the frame general."""
+    succ: dict[str, set[str]] = {s: set() for s in plant.states}
+    for a, b in plant.c_edges | plant.u_edges:
+        succ[a].add(b)
+    terminal = {s for s in plant.states if succ[s] == {s}}
+    proper = {s: (set() if s in terminal else succ[s]) for s in plant.states}
+    colour = dict.fromkeys(plant.states, 0)  # 0 new, 1 on stack, 2 done
+
+    def cyclic(s: str) -> bool:
+        colour[s] = 1
+        for t in proper[s]:
+            if colour[t] == 1 or (colour[t] == 0 and cyclic(t)):
+                return True
+        colour[s] = 2
+        return False
+
+    if any(colour[s] == 0 and cyclic(s) for s in sorted(plant.states)):
+        return FrameKind.GENERAL
+    preds = dict.fromkeys(plant.states, 0)
+    for targets in proper.values():
+        for t in targets:
+            preds[t] += 1
+    if preds[plant.init] == 0 and all(
+        n == 1 for s, n in preds.items() if s != plant.init
+    ):
+        return FrameKind.TREE
+    return FrameKind.ACYCLIC
 
 
 # --- exhaustive synthesis oracle ---------------------------------------------

@@ -215,3 +215,43 @@ def test_casestudy_bad_config_exit(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"rounds": 1}')
     assert main(["casestudy", "--strategy", "correct", "--config", str(cfg)]) == 2
+
+
+CYCLE = {
+    "states": ["s0", "s1"],
+    "init": "s0",
+    "labels": {"s0": ["a"], "s1": ["b"]},
+    "controllable": [],
+    "uncontrollable": [["s0", "s1"], ["s1", "s0"]],
+}
+TREE = {
+    "states": ["r", "x", "y"],
+    "init": "r",
+    "labels": {"x": ["a"]},
+    "controllable": [["r", "x"], ["r", "y"], ["x", "x"], ["y", "y"]],
+    "uncontrollable": [],
+}
+
+
+@pytest.mark.parametrize("doc", [CYCLE, TREE], ids=["general", "tree"])
+@pytest.mark.parametrize("command", ["check", "synth"])
+@pytest.mark.parametrize("stem,loop", [("-1", "0"), ("-1", "1"), ("0", "0")])
+def test_out_of_range_bounds_exit_bad_input(tmp_path, capsys, doc, command, stem, loop):
+    plant = tmp_path / "plant.json"
+    plant.write_text(json.dumps(doc))
+    f = _formula_file(tmp_path, "exists p. F a[p]")
+    argv = [command, str(plant), f, "--stem-bound", stem, "--loop-bound", loop]
+    assert main(argv) == 2
+    assert "--loop-bound" in capsys.readouterr().err
+
+
+def test_deeply_nested_formula_exits_bad_input(fig1_file, tmp_path, capsys):
+    f = _formula_file(tmp_path, "forall t. " + "X " * 2000 + "b[t]")
+    assert main(["check", fig1_file, f]) == 2
+    assert "nested deeper" in capsys.readouterr().err
+
+
+def test_nested_formula_within_cap_is_decided(fig1_file, tmp_path, capsys):
+    f = _formula_file(tmp_path, "forall t. " + "X " * 200 + "b[t]")
+    assert main(["check", fig1_file, f]) == 0
+    assert main(["synth", fig1_file, f]) == 0

@@ -216,3 +216,29 @@ def test_alternation_count_examples():
     assert alternation_count(_formula([E, A])) == 1
     assert alternation_count(_formula([A, A, E])) == 1
     assert alternation_count(_formula([E, A, E, A, E])) == 4
+
+
+def test_nesting_cap_admits_only_evaluable_bodies():
+    from hypersynth.parser import MAX_NESTING
+    from hypersynth.plant import Lasso
+
+    n = MAX_NESTING
+    at_cap = {
+        "next": "X " * n + "a[p]",
+        "parens": "X(" * (n // 2) + "a[p]" + ")" * (n // 2),
+        "left": " & ".join(["a[p]"] * (n + 1)),
+        "right": " U ".join(["a[p]"] * (n + 1)),
+    }
+    asg = {"p": Lasso((), (frozenset({"a"}),))}
+    for text in at_cap.values():
+        assert eval_body(parse_body(text), asg)
+        assert parse(print_formula(parse("forall p. " + text))).body == parse_body(text)
+    over = {
+        "next": "X " + at_cap["next"],
+        "parens": "(" + at_cap["parens"] + ")",
+        "left": at_cap["left"] + " & a[p]",
+        "right": at_cap["right"] + " U a[p]",
+    }
+    for text in over.values():
+        with pytest.raises(ParseError, match="nested deeper"):
+            parse_body(text)

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -23,11 +24,17 @@ from hypersynth.plant import (
     lasso_equal,
     load_plant,
     to_dot,
-    unroll_equal,
     validate,
 )
 
-from helpers import random_lasso
+from helpers import (
+    classify_frame_reference,
+    random_acyclic_plant,
+    random_general_plant,
+    random_lasso,
+    random_tree_plant,
+    unroll_equal,
+)
 
 
 def letter(*props):
@@ -120,6 +127,59 @@ def test_adding_edge_never_upgrades_frame():
             plant.labeling,
         )
         assert order[classify_frame(bigger)] <= order[before]
+
+
+def _random_plant(rng: random.Random) -> Plant:
+    pick = rng.randrange(4)
+    if pick == 0:
+        return random_tree_plant(rng)
+    if pick == 1:
+        return random_acyclic_plant(rng)
+    if pick == 2:
+        return random_general_plant(rng)
+    plant = random_acyclic_plant(rng)
+    states = sorted(plant.states)
+    extra = (rng.choice(states), rng.choice(states))
+    return Plant(
+        plant.states, plant.init, plant.c_edges, plant.u_edges | {extra}, plant.labeling
+    )
+
+
+def test_classify_and_traces_match_references_on_random_plants():
+    rng = random.Random(2024)
+    seen = set()
+    for _ in range(400):
+        plant = _random_plant(rng)
+        frame = classify_frame(plant)
+        assert frame is classify_frame_reference(plant)
+        seen.add(frame)
+        if frame is not FrameKind.GENERAL:
+            assert enumerate_traces(plant) == enumerate_lassos(plant, len(plant.states), 1)
+    assert seen == set(FrameKind)
+
+
+def test_classify_is_linear_on_large_frames():
+    # the chain and the star each take minutes with an O(V*E) Kahn loop
+    n = 20_000
+    chain = Plant(
+        {f"s{i}" for i in range(n)},
+        "s0",
+        {(f"s{i}", f"s{i + 1}") for i in range(n - 1)} | {(f"s{n - 1}", f"s{n - 1}")},
+        set(),
+        {},
+    )
+    leaves = [f"l{i}" for i in range(n)]
+    star = Plant(
+        {"root", *leaves},
+        "root",
+        {("root", leaf) for leaf in leaves} | {(leaf, leaf) for leaf in leaves},
+        set(),
+        {},
+    )
+    for plant in (chain, star):
+        started = time.perf_counter()
+        assert classify_frame(plant) is FrameKind.TREE
+        assert time.perf_counter() - started < 2.0
 
 
 # --- traces -------------------------------------------------------------

@@ -17,10 +17,9 @@ from hypersynth.semantics import (
     eval_body,
     eval_quantified,
     eval_quantified_witness,
-    shift_assignment,
 )
 
-from helpers import naive_eval, random_body, random_lasso
+from helpers import naive_eval, random_body, random_lasso, shift_assignment
 
 E, A = Quantifier.EXISTS, Quantifier.FORALL
 
