@@ -37,6 +37,7 @@ from .parser import parse, print_formula
 from .plant import (
     Plant,
     classify_frame,
+    dump_edges,
     dump_plant,
     load_plant,
     to_dot,
@@ -196,11 +197,14 @@ def cmd_synth(args) -> int:
         return EXIT_GUARD
     witness_path = None
     if result.realizable and args.out is not None:
-        witness = {
-            "plant_sha256": _plant_sha(plant),
-            "retained": [list(e) for e in sorted(result.solution.retained)],
-        }
-        Path(args.out).write_text(json.dumps(witness, indent=2, sort_keys=True) + "\n")
+        # the text of json.dumps(witness, indent=2, sort_keys=True), whose
+        # indenting encoder is pure Python
+        Path(args.out).write_text(
+            "{\n"
+            f'  "plant_sha256": "{_plant_sha(plant)}",\n'
+            f'  "retained": {dump_edges(result.solution.retained)}\n'
+            "}\n"
+        )
         witness_path = args.out
     report = RunReport(
         verdict=result.verdict.value,

@@ -6,12 +6,18 @@ core connectives are true, atoms, negation, disjunction, until, and next;
 conjunction, implication, equivalence, eventually, and globally are
 derived forms removed by :func:`desugar`.  A Release node exists so that
 :func:`negate_nnf` stays linear; it is internal and never printed.
+
+Each body instance compiles once, on first use, to a flat post-order
+:class:`Program` (see :func:`compile_body`), which the evaluator in
+:mod:`hypersynth.semantics` runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+from typing import NamedTuple
 
 from .errors import DuplicateQuantifier, UnboundVariable
 
@@ -20,6 +26,11 @@ class Body:
     """Base class for body AST nodes."""
 
     __slots__ = ()
+
+    @cached_property
+    def program(self) -> "Program":
+        """The compiled form of this instance, built on first use."""
+        return compile_body(self)
 
 
 @dataclass(frozen=True)
@@ -136,14 +147,91 @@ def free_vars(body: Body) -> frozenset[str]:
     raise TypeError(f"unknown body node {body!r}")
 
 
-def subformula_count(body: Body) -> int:
-    if isinstance(body, (TrueBool, Atom)):
-        return 1
-    if isinstance(body, (Not, Next, Eventually, Globally)):
-        return 1 + subformula_count(body.operand)
-    if isinstance(body, (Or, And, Implies, Iff, Until, Release)):
-        return 1 + subformula_count(body.left) + subformula_count(body.right)
-    raise TypeError(f"unknown body node {body!r}")
+# --- compiled form -----------------------------------------------------------
+
+_UNARY = (Not, Next, Eventually, Globally)
+_BINARY = (Or, And, Implies, Iff, Until, Release)
+_OPERATORS = frozenset((TrueBool, *_UNARY, *_BINARY))
+
+
+class Program(NamedTuple):
+    """A body flattened for bottom-up evaluation.
+
+    The first slots hold the atoms: ``atoms`` lists each trace variable
+    once, in order of first occurrence, with the propositions read off it,
+    and their slots follow in that order.  Each later slot holds one
+    instruction of ``code``, (node class, a, b), which reads the earlier
+    slots a and b (b is 0 for a unary operator); the last slot is the root.
+    Equal subtrees, whether one object or equal copies, share one slot.
+    ``size`` is the node count of the body as a tree, a shared subtree
+    counted once per occurrence.
+    """
+
+    atoms: tuple[tuple[str, tuple[str, ...]], ...]
+    code: tuple[tuple[type, int, int], ...]
+    size: int
+
+
+def _operands(node: Body) -> tuple[Body, ...]:
+    if isinstance(node, _UNARY):
+        return (node.operand,)
+    if isinstance(node, _BINARY):
+        return (node.left, node.right)
+    return ()
+
+
+def compile_body(body: Body) -> Program:
+    """Flatten a body into a :class:`Program` by one iterative post-order
+    pass (left operand first), so its depth is limited by memory only.
+
+    Each node gets a value number: an atom its (variable, proposition),
+    an operator the index of its (class, operand numbers) among the
+    distinct operators seen, so equal subtrees get one number.  Slots are
+    assigned once all atoms are known.
+    """
+    number_of: dict[int, tuple[str, str] | int] = {}  # node identity -> number
+    size_of: dict[int, int] = {}  # node identity -> tree size
+    atoms: dict[str, dict[str, None]] = {}  # variable -> propositions
+    operators: dict[tuple, int] = {}  # (class, operand numbers) -> number
+    stack = [body]
+    while stack:
+        node = stack[-1]
+        if id(node) in number_of:
+            stack.pop()
+            continue
+        kids = _operands(node)
+        pending = [k for k in reversed(kids) if id(k) not in number_of]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        if isinstance(node, Atom):
+            atoms.setdefault(node.var, {})[node.prop] = None
+            number_of[id(node)] = (node.var, node.prop)
+            size_of[id(node)] = 1
+            continue
+        if type(node) not in _OPERATORS:
+            raise TypeError(f"unknown body node {node!r}")
+        key = (type(node), *(number_of[id(k)] for k in kids))
+        number_of[id(node)] = operators.setdefault(key, len(operators))
+        size_of[id(node)] = 1 + sum(size_of[id(k)] for k in kids)
+    atom_slot = {
+        atom: i
+        for i, atom in enumerate(
+            (var, prop) for var, props in atoms.items() for prop in props
+        )
+    }
+    base = len(atom_slot)
+
+    def slot(number: tuple[str, str] | int) -> int:
+        return base + number if isinstance(number, int) else atom_slot[number]
+
+    code = tuple(
+        (op, *map(slot, operands), *(0,) * (2 - len(operands)))
+        for op, *operands in operators
+    )
+    program_atoms = tuple((var, tuple(props)) for var, props in atoms.items())
+    return Program(program_atoms, code, size_of[id(body)])
 
 
 def desugar(body: Body) -> Body:

@@ -55,9 +55,11 @@ _BINARY = {
 }
 _PREFIX = {"!": Not, "X": Next, "F": Eventually, "G": Globally}
 
-# Walkers over bodies recurse, the parser and eval_body at most twice per
-# level, so bodies within this depth parse and evaluate well inside the
-# interpreter's default recursion limit of 1000 frames.
+# The parser and the printer recurse at most twice per nesting level, so
+# bodies within this depth parse and print well inside the interpreter's
+# default recursion limit of 1000 frames.  eval_body does not recurse: it
+# compiles a body in one iterative pass, so the output of desugar, up to
+# about three times deeper than its input, evaluates as well.
 MAX_NESTING = 250
 
 

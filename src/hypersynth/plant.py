@@ -19,6 +19,8 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import (
@@ -106,14 +108,17 @@ def validate(plant: Plant) -> None:
     """
     if plant.init not in plant.states:
         raise DanglingReference(plant.init)
-    for a, b in sorted(plant.edges):
-        if a not in plant.states:
-            raise DanglingReference(a)
-        if b not in plant.states:
-            raise DanglingReference(b)
-    for s in sorted(plant.labeling):
-        if s not in plant.states:
-            raise DanglingReference(s)
+    # the sorted scans only name the first offender of a failed check
+    if not plant.states.issuperset(chain.from_iterable(plant.edges)):
+        for a, b in sorted(plant.edges):
+            if a not in plant.states:
+                raise DanglingReference(a)
+            if b not in plant.states:
+                raise DanglingReference(b)
+    if not plant.states.issuperset(plant.labeling):
+        for s in sorted(plant.labeling):
+            if s not in plant.states:
+                raise DanglingReference(s)
     overlap = plant.c_edges & plant.u_edges
     if overlap:
         raise OverlappingEdge(min(overlap))
@@ -150,8 +155,8 @@ class Lasso:
     loop: tuple[Letter, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "stem", tuple(_letter(x) for x in self.stem))
-        object.__setattr__(self, "loop", tuple(_letter(x) for x in self.loop))
+        object.__setattr__(self, "stem", tuple(map(frozenset, self.stem)))
+        object.__setattr__(self, "loop", tuple(map(frozenset, self.loop)))
         if not self.loop:
             raise ValueError("lasso loop must be nonempty")
         object.__setattr__(self, "_hash", hash((self.stem, self.loop)))
@@ -169,6 +174,34 @@ class Lasso:
             return self.stem[i]
         return self.loop[(i - len(self.stem)) % len(self.loop)]
 
+    @cached_property
+    def _masks(self) -> dict[tuple[tuple[str, ...], int], tuple[int, ...]]:
+        return {}
+
+    def masks(self, props: tuple[str, ...], n: int) -> tuple[int, ...]:
+        """Per proposition in props, the bitmask of the positions i < n
+        whose letter holds it (bit i for position i).  Built once per
+        (props, n) from the stem and the loop bitmasks: the loop bits are
+        tiled by one multiply with a repunit of period len(loop)."""
+        key = (props, n)
+        got = self._masks.get(key)
+        if got is not None:
+            return got
+        stem_bits, loop_bits = _bitmasks(self.stem, props), _bitmasks(self.loop, props)
+        s, p = len(self.stem), len(self.loop)
+        width = n - s
+        if width <= 0:
+            got = tuple([stem_bits[prop] & ((1 << n) - 1) for prop in props])
+        else:
+            repunit = ((1 << (p * -(-width // p))) - 1) // ((1 << p) - 1)
+            window = (1 << width) - 1
+            got = tuple([
+                stem_bits[prop] | (((loop_bits[prop] * repunit) & window) << s)
+                for prop in props
+            ])
+        self._masks[key] = got
+        return got
+
     def prefix(self, n: int) -> tuple[Letter, ...]:
         return tuple(self.letter_at(i) for i in range(n))
 
@@ -180,10 +213,33 @@ class Lasso:
         return Lasso((), self.loop[k:] + self.loop[:k])
 
     def sort_key(self):
+        """The canonical order of lassos; see :func:`sort_lassos`."""
         return (
             tuple(tuple(sorted(l)) for l in self.stem),
             tuple(tuple(sorted(l)) for l in self.loop),
         )
+
+
+def _bitmasks(letters: tuple[Letter, ...], props: tuple[str, ...]) -> dict[str, int]:
+    """Per proposition, the bitmask of the letters that hold it."""
+    bits = dict.fromkeys(props, 0)
+    for i, letter in enumerate(letters):
+        for prop in letter:
+            if prop in bits:
+                bits[prop] |= 1 << i
+    return bits
+
+
+def sort_lassos(lassos: Iterable[Lasso]) -> list[Lasso]:
+    """The lassos in :meth:`Lasso.sort_key` order.  Each distinct letter
+    is sorted once and stands in the keys by its rank, which orders them
+    exactly as the sorted letters do."""
+    lassos = list(lassos)
+    letters = {l for x in lassos for part in (x.stem, x.loop) for l in part}
+    rank = {l: i for i, l in enumerate(sorted(letters, key=sorted))}.__getitem__
+    return sorted(
+        lassos, key=lambda x: (tuple(map(rank, x.stem)), tuple(map(rank, x.loop)))
+    )
 
 
 def canonical(lasso: Lasso) -> Lasso:
@@ -199,6 +255,8 @@ def canonical(lasso: Lasso) -> Lasso:
     while stem and stem[-1] == loop[-1]:
         stem.pop()
         loop = [loop[-1]] + loop[:-1]
+    if len(stem) == len(lasso.stem) and len(loop) == len(lasso.loop):
+        return lasso  # already reduced
     return Lasso(tuple(stem), tuple(loop))
 
 
@@ -439,10 +497,11 @@ def plant_from_dict(data: dict) -> Plant:
             raise PlantFormatError(f"{key} must be an array of [from, to] pairs")
         pairs = []
         for item in raw:
-            if (
-                not isinstance(item, list)
-                or len(item) != 2
-                or not all(isinstance(x, str) for x in item)
+            if not (
+                isinstance(item, list)
+                and len(item) == 2
+                and isinstance(item[0], str)
+                and isinstance(item[1], str)
             ):
                 raise PlantFormatError(f"{key} entries must be [from, to] pairs")
             pairs.append((item[0], item[1]))
@@ -476,7 +535,52 @@ def load_plant(text: str) -> Plant:
 
 
 def dump_plant(plant: Plant) -> str:
-    return json.dumps(plant_to_dict(plant), indent=2, sort_keys=True) + "\n"
+    """The text of ``json.dumps(plant_to_dict(plant), indent=2,
+    sort_keys=True)`` plus a newline, written directly: the standard
+    library indents in pure Python, which made dumping (for a witness's
+    ``plant_sha256``) the largest part of a CLI synthesis on a large
+    plant."""
+    names = plant.states.union(chain.from_iterable(plant.edges))
+    quote = dict(zip(names, map(_quote, names))).__getitem__  # each name once
+    states = sorted(plant.states)
+    sep = ",\n      "
+    labels = [  # a canonical label is nonempty
+        f"{quote(s)}: [\n      {sep.join(map(_quote, sorted(plant.labeling[s])))}\n    ]"
+        if s in plant.labeling
+        else f"{quote(s)}: []"
+        for s in states
+    ]
+    label_block = "{\n    " + ",\n    ".join(labels) + "\n  }" if labels else "{}"
+    return (
+        "{\n"
+        f'  "controllable": {_edge_array(plant.c_edges, quote)},\n'
+        f'  "init": {_quote(plant.init)},\n'
+        f'  "labels": {label_block},\n'
+        f'  "states": {_json_array(list(map(quote, states)), "  ")},\n'
+        f'  "uncontrollable": {_edge_array(plant.u_edges, quote)}\n'
+        "}\n"
+    )
+
+
+def dump_edges(edges: Iterable[Edge]) -> str:
+    """The edges, sorted, as the array of [from, to] pairs that json.dumps
+    with indent=2 writes for a value of a top-level object."""
+    return _edge_array(edges, _quote)
+
+
+def _edge_array(edges: Iterable[Edge], quote) -> str:
+    return _json_array(
+        [f"[\n      {quote(a)},\n      {quote(b)}\n    ]" for a, b in sorted(edges)], "  "
+    )
+
+
+def _json_array(items: list[str], pad: str) -> str:
+    """JSON array of already encoded items, laid out as json.dumps does
+    with indent=2 when the array starts at indentation pad."""
+    if not items:
+        return "[]"
+    inner = "\n" + pad + "  "
+    return "[" + inner + ("," + inner).join(items) + "\n" + pad + "]"
 
 
 def to_dot(plant: Plant) -> str:

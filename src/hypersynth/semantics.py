@@ -2,11 +2,17 @@
 satisfaction of closed formulas over finite trace sets.
 
 Bodies are evaluated by aligning all assigned lassos to a joint lasso with
-stem length S* = max stem length and period P* = lcm of loop lengths, then
-computing truth values per subformula over positions 0 .. S*+P*-1 bottom
-up.  Until/Release on the loop segment are resolved by fixed-point sweeps
-(least fixed point for until, greatest for release); P*+1 sweeps always
-suffice because loop values change monotonically under the sweep.
+stem length S* = max stem length and period P* = lcm of loop lengths, so
+that position n-1 (n = S*+P*) is followed by position S*.  Each body is
+compiled once to a flat post-order program (:attr:`Body.program`); one
+evaluation runs it bottom up with one Python int per instruction, bit i
+holding the truth value at joint position i (path model checking by
+labelling, after Markey & Schnoebelen, "Model Checking a Path", CONCUR
+2003).  Boolean connectives are single bitwise operations, Next is a shift
+that wraps bit S* into bit n-1, Eventually/Globally are closed forms
+(a loop position reaches the whole loop), and Until/Release iterate
+``r | (l & X v)`` up to the least and ``r & (l | X v)`` down to the
+greatest fixed point, at most n rounds on whole ints.
 
 Model checking a plant reduces to quantifier enumeration over its trace
 set: exact for tree/acyclic frames, bounded (and flagged as such) for
@@ -16,13 +22,12 @@ general frames.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
-from typing import Mapping, Optional, Sequence
+from math import lcm
+from typing import Callable, Iterable, Mapping, Optional
 
 from .errors import HorizonExceeded, UnboundVariable
 from .formula import (
     And,
-    Atom,
     Body,
     Eventually,
     Formula,
@@ -34,9 +39,7 @@ from .formula import (
     Or,
     Quantifier,
     Release,
-    TrueBool,
     Until,
-    subformula_count,
 )
 from .plant import (
     FrameKind,
@@ -46,6 +49,7 @@ from .plant import (
     default_bounds,
     enumerate_lassos,
     enumerate_traces,
+    sort_lassos,
 )
 
 TraceAssignment = Mapping[str, Lasso]
@@ -53,11 +57,15 @@ TraceAssignment = Mapping[str, Lasso]
 DEFAULT_HORIZON = 10**6
 
 
-def _joint_shape(lassos: Sequence[Lasso]) -> tuple[int, int]:
-    stem = max((len(l.stem) for l in lassos), default=0)
-    period = 1
+def _joint_shape(lassos: Iterable[Lasso]) -> tuple[int, int]:
+    stem, period = 0, 1
     for l in lassos:
-        period = period * len(l.loop) // gcd(period, len(l.loop))
+        k = len(l.stem)
+        if k > stem:
+            stem = k
+        k = len(l.loop)
+        if period % k:
+            period = lcm(period, k)
     return stem, period
 
 
@@ -69,105 +77,63 @@ def eval_body(
     The assignment must bind every trace variable occurring in the body;
     a missing binding raises UnboundVariable.  All node kinds are handled,
     derived forms included, so desugaring beforehand is not required.
-    Raises HorizonExceeded when (S*+P*) times the subformula count exceeds
-    the horizon.
+    Raises HorizonExceeded, before any evaluation, when (S*+P*) times the
+    subformula count exceeds the horizon.
     """
-    lassos = list(asg.values())
-    s_star, p_star = _joint_shape(lassos)
+    atoms, code, size = body.program
+    s_star, p_star = _joint_shape(asg.values())
     n = s_star + p_star
-    size = subformula_count(body)
     if n * size > horizon:
         raise HorizonExceeded(n * size, horizon)
-
-    # per-variable letter arrays, built on first use; memo keyed by node
-    # identity (the body object is alive for the whole call)
-    letters: dict[str, list] = {}
-    memo: dict[int, list[bool]] = {}
-
-    def values(node: Body) -> list[bool]:
-        cached = memo.get(id(node))
-        if cached is not None:
-            return cached
-        result = _compute(node)
-        memo[id(node)] = result
-        return result
-
-    def _compute(node: Body) -> list[bool]:
-        if isinstance(node, TrueBool):
-            return [True] * n
-        if isinstance(node, Atom):
-            row = letters.get(node.var)
-            if row is None:
-                lasso = asg.get(node.var)
-                if lasso is None:
-                    raise UnboundVariable(node.var)
-                row = [lasso.letter_at(i) for i in range(n)]
-                letters[node.var] = row
-            prop = node.prop
-            return [prop in letter for letter in row]
-        if isinstance(node, Not):
-            return [not v for v in values(node.operand)]
-        if isinstance(node, Or):
-            lv, rv = values(node.left), values(node.right)
-            return [a or b for a, b in zip(lv, rv)]
-        if isinstance(node, And):
-            lv, rv = values(node.left), values(node.right)
-            return [a and b for a, b in zip(lv, rv)]
-        if isinstance(node, Implies):
-            lv, rv = values(node.left), values(node.right)
-            return [(not a) or b for a, b in zip(lv, rv)]
-        if isinstance(node, Iff):
-            lv, rv = values(node.left), values(node.right)
-            return [a == b for a, b in zip(lv, rv)]
-        if isinstance(node, Next):
-            sub = values(node.operand)
-            return [sub[_next_pos(i)] for i in range(n)]
-        if isinstance(node, Until):
-            return _fixpoint(values(node.left), values(node.right), least=True)
-        if isinstance(node, Eventually):
-            return _fixpoint([True] * n, values(node.operand), least=True)
-        if isinstance(node, Release):
-            return _fixpoint(values(node.left), values(node.right), least=False)
-        if isinstance(node, Globally):
-            # G x == false R x
-            return _fixpoint([False] * n, values(node.operand), least=False)
-        raise TypeError(f"unknown body node {node!r}")
-
-    def _next_pos(i: int) -> int:
-        return i + 1 if i + 1 < n else s_star
-
-    def _fixpoint(left: list[bool], right: list[bool], least: bool) -> list[bool]:
-        # until: v[i] = r[i] or (l[i] and v[next]),   init loop false (lfp)
-        # release: v[i] = r[i] and (l[i] or v[next]), init loop true (gfp)
-        out: list[Optional[bool]] = [None] * n
-        loop_vals = [not least] * p_star
-        for _ in range(p_star + 1):
-            changed = False
-            for k in range(p_star - 1, -1, -1):
-                nxt = loop_vals[(k + 1) % p_star]
-                i = s_star + k
-                if least:
-                    v = right[i] or (left[i] and nxt)
-                else:
-                    v = right[i] and (left[i] or nxt)
-                if v != loop_vals[k]:
-                    loop_vals[k] = v
-                    changed = True
-            if not changed:
-                break
-        for k in range(p_star):
-            out[s_star + k] = loop_vals[k]
-        for i in range(s_star - 1, -1, -1):
-            if least:
-                out[i] = right[i] or (left[i] and out[i + 1])
-            else:
-                out[i] = right[i] and (left[i] or out[i + 1])
-        return out  # type: ignore[return-value]
-
-    if n == 0:
-        # impossible: loops are nonempty, so n >= 1
-        raise AssertionError("empty joint word")
-    return values(body)[0]
+    full = (1 << n) - 1
+    last = n - 1
+    vals: list[int] = []
+    push = vals.append
+    for var, props in atoms:
+        lasso = asg.get(var)
+        if lasso is None:
+            raise UnboundVariable(var)
+        vals += lasso.masks(props, n)
+    for op, a, b in code:
+        if op is And:
+            push(vals[a] & vals[b])
+        elif op is Or:
+            push(vals[a] | vals[b])
+        elif op is Not:
+            push(full ^ vals[a])
+        elif op is Next:
+            v = vals[a]
+            push((v >> 1) | (((v >> s_star) & 1) << last))
+        elif op is Implies:
+            push((full ^ vals[a]) | vals[b])
+        elif op is Iff:
+            push(full ^ vals[a] ^ vals[b])
+        elif op is Eventually:
+            # every position reaches the whole loop; a v set on the stem
+            # only is reached from the positions up to its last set bit
+            v = vals[a]
+            push(full if v >> s_star else (1 << v.bit_length()) - 1)
+        elif op is Globally:
+            # G v == !F !v
+            v = full ^ vals[a]
+            push(0 if v >> s_star else full ^ ((1 << v.bit_length()) - 1))
+        elif op is Until:
+            l, r = vals[a], vals[b]
+            v, w = -1, r  # v = r | (l & X v), from below
+            while w != v:
+                v = w
+                w = r | (l & ((v >> 1) | (((v >> s_star) & 1) << last)))
+            push(v)
+        elif op is Release:
+            l, r = vals[a], vals[b]
+            v, w = -1, r  # v = r & (l | X v), from above
+            while w != v:
+                v = w
+                w = r & (l | ((v >> 1) | (((v >> s_star) & 1) << last)))
+            push(v)
+        else:  # TrueBool
+            push(full)
+    return bool(vals[-1] & 1)
 
 
 def eval_quantified(
@@ -195,7 +161,7 @@ def eval_quantified_witness(
     """Like eval_quantified, but for purely universal prefixes a False
     verdict also returns the falsifying assignment tuple (in prefix order);
     any trace superset containing that tuple fails as well."""
-    traces = sorted(trace_set, key=Lasso.sort_key)
+    traces = sort_lassos(trace_set)
     names = f.variables
     universal = all(q is Quantifier.FORALL for q, _ in f.prefix)
     body_cache = cache if cache is not None else {}
@@ -207,27 +173,38 @@ def eval_quantified_witness(
             body_cache[chosen] = result
         return result
 
-    def recurse(depth: int, chosen: tuple[Lasso, ...]) -> tuple[bool, Optional[tuple[Lasso, ...]]]:
-        if depth == len(f.prefix):
-            ok = base(chosen)
-            return ok, (None if ok else chosen)
-        quant, _ = f.prefix[depth]
-        if quant is Quantifier.EXISTS:
-            for t in traces:
-                ok, _ = recurse(depth + 1, chosen + (t,))
-                if ok:
-                    return True, None
-            return False, None
-        for t in traces:
-            ok, witness = recurse(depth + 1, chosen + (t,))
-            if not ok:
-                return False, witness
-        return True, None
-
-    holds, witness = recurse(0, ())
+    quants = tuple(q for q, _ in f.prefix)
+    holds, witness = _enumerate(quants, traces, base, ())
     if holds or not universal:
         return holds, None
     return False, witness
+
+
+def _enumerate(
+    quants: tuple[Quantifier, ...],
+    traces: list[Lasso],
+    base: Callable[[tuple[Lasso, ...]], bool],
+    chosen: tuple[Lasso, ...],
+) -> tuple[bool, Optional[tuple[Lasso, ...]]]:
+    """Truth of the quantifiers after the chosen traces, and the first
+    falsifying full tuple when it fails under universal choices only.  A
+    module function rather than a recursive closure, which would be a
+    reference cycle left to the cyclic collector on every call."""
+    depth = len(chosen)
+    if depth == len(quants):
+        ok = base(chosen)
+        return ok, (None if ok else chosen)
+    if quants[depth] is Quantifier.EXISTS:
+        for t in traces:
+            ok, _ = _enumerate(quants, traces, base, chosen + (t,))
+            if ok:
+                return True, None
+        return False, None
+    for t in traces:
+        ok, witness = _enumerate(quants, traces, base, chosen + (t,))
+        if not ok:
+            return False, witness
+    return True, None
 
 
 @dataclass(frozen=True)

@@ -58,6 +58,7 @@ from .plant import (
     classify_frame,
     default_bounds,
     enumerate_lassos,
+    sort_lassos,
     validate,
 )
 from .semantics import (
@@ -280,9 +281,9 @@ class _Keepable:
         if s in idx.terminals:
             result = self.leaf_ok(s)
         elif s in idx.u_succ:
-            result = all(self(c) for c in idx.u_succ[s])
+            result = all(map(self, idx.u_succ[s]))
         else:
-            result = any(self(c) for c in idx.c_succ[s])
+            result = any(map(self, idx.c_succ[s]))
         self.memo[s] = result
         return result
 
@@ -301,7 +302,7 @@ def _kept_states(plant: Plant, keepable) -> set[str]:
         if s in idx.terminals:
             continue
         stack += idx.u_succ.get(s, ())
-        stack += (c for c in idx.c_succ.get(s, ()) if keepable(c))
+        stack += filter(keepable, idx.c_succ.get(s, ()))
     return kept
 
 
@@ -337,7 +338,7 @@ def synth_tree_exists_forall(
     if fragment.kind is not FragmentKind.E_STAR_A:
         raise FragmentMismatch("E*A", str(fragment))
     leaf_trace = {row.terminal: row.lasso for row in plant.index.paths}
-    traces = sorted(set(leaf_trace.values()), key=Lasso.sort_key)
+    traces = sort_lassos(set(leaf_trace.values()))
     names = f.variables
     evars, uvar = names[:-1], names[-1]
 
@@ -402,7 +403,7 @@ def synth_tree_marking(
             body_memo[key] = got
         return got
 
-    marked = sorted(set(leaf_trace.values()), key=Lasso.sort_key)
+    marked = sort_lassos(set(leaf_trace.values()))
     while True:
         # marking rounds: greatest set of traces that support each other
         while True:
@@ -427,7 +428,7 @@ def synth_tree_marking(
             return SynthesisResult(
                 Verdict.REALIZABLE, ControllerSolution(retained), True
             )
-        marked = sorted(kept_traces, key=Lasso.sort_key)
+        marked = sort_lassos(kept_traces)
 
 
 def dispatch(

@@ -115,6 +115,18 @@ def naive_eval(body: Body, asg: dict[str, Lasso], length: int) -> Optional[bool]
     return ev(body, 0)
 
 
+def subformula_count(body: Body) -> int:
+    """Node count of the body as a tree: a subtree shared by identity
+    counts once per occurrence."""
+    if isinstance(body, (TrueBool, Atom)):
+        return 1
+    if isinstance(body, (Not, Next, Eventually, Globally)):
+        return 1 + subformula_count(body.operand)
+    if isinstance(body, (Or, And, Implies, Iff, Until, Release)):
+        return 1 + subformula_count(body.left) + subformula_count(body.right)
+    raise TypeError(f"unknown body node {body!r}")
+
+
 # --- SAT / QBF oracles -----------------------------------------------------
 
 

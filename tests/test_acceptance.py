@@ -28,7 +28,7 @@ import random
 import time
 from itertools import combinations_with_replacement
 
-from hypersynth.formula import Formula, Not, Quantifier, subformula_count
+from hypersynth.formula import Formula, Not, Quantifier
 from hypersynth.nrp import (
     STRATEGIES,
     build_plant,
@@ -71,6 +71,7 @@ from helpers import (
     random_qbf,
     random_tree_plant,
     sat_brute,
+    subformula_count,
     synth_brute,
 )
 

@@ -112,6 +112,7 @@ def test_synth_writes_witness_with_plant_hash(fig1_file, tmp_path, capsys):
 
     plant = load_plant(json.dumps(FIG1))
     assert doc["plant_sha256"] == hashlib.sha256(dump_plant(plant).encode()).hexdigest()
+    assert witness.read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
     # deterministic: a second run produces byte-identical output
     first = witness.read_bytes()
     assert main(["synth", fig1_file, unsat, "--out", str(witness), "--deterministic"]) == 0

@@ -1,3 +1,4 @@
+import json
 import random
 import time
 
@@ -23,6 +24,8 @@ from hypersynth.plant import (
     enumerate_traces,
     lasso_equal,
     load_plant,
+    plant_to_dict,
+    sort_lassos,
     to_dot,
     validate,
 )
@@ -301,6 +304,33 @@ def test_canonical_is_reduced():
     assert reduced == Lasso((letter("a"),), (letter("b"),))
 
 
+def test_lasso_masks_match_letters():
+    rng = random.Random(61)
+    props = ("a", "b", "c")
+    for _ in range(300):
+        lasso = random_lasso(rng, props=props, max_stem=5, max_loop=7)
+        n = rng.randint(0, 40)
+        masks = lasso.masks(props, n)
+        assert masks == lasso.masks(props, n)  # served from the cache
+        for prop, mask in zip(props, masks):
+            expected = sum(1 << i for i in range(n) if prop in lasso.letter_at(i))
+            assert mask == expected
+
+
+def test_sort_lassos_matches_sort_key():
+    rng = random.Random(62)
+    for _ in range(300):
+        lassos = {random_lasso(rng, props=("a", "b", "c")) for _ in range(rng.randint(0, 25))}
+        assert sort_lassos(lassos) == sorted(lassos, key=Lasso.sort_key)
+
+
+def test_canonical_keeps_reduced_lassos():
+    rng = random.Random(63)
+    for _ in range(300):
+        reduced = canonical(random_lasso(rng))
+        assert canonical(reduced) is reduced
+
+
 def test_lasso_suffix():
     lasso = Lasso((letter("a"),), (letter("b"), letter()))
     assert lasso.suffix(1) == Lasso((), (letter("b"), letter()))
@@ -318,9 +348,22 @@ def test_plant_json_round_trip(fig1_plant):
     assert again == fig1_plant
 
 
-def test_plant_json_rejects_unknown_keys(fig1_plant):
-    import json
+def test_plant_dump_is_indented_sorted_json():
+    rng = random.Random(64)
+    plants = [
+        gen(rng)
+        for gen in (random_tree_plant, random_acyclic_plant, random_general_plant)
+        for _ in range(60)
+    ]
+    odd = 'q"\\\n\u00e9\U0001f600'
+    plants.append(Plant(set(), "s", set(), set()))
+    plants.append(Plant({odd, "s"}, "s", {("s", odd)}, {(odd, odd)}, {"s": {"z", odd}}))
+    for plant in plants:
+        expected = json.dumps(plant_to_dict(plant), indent=2, sort_keys=True) + "\n"
+        assert dump_plant(plant) == expected
 
+
+def test_plant_json_rejects_unknown_keys(fig1_plant):
     data = json.loads(dump_plant(fig1_plant))
     data["extra"] = 1
     with pytest.raises(PlantFormatError):

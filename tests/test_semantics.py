@@ -1,16 +1,30 @@
+import copy
+import gc
+import math
 import random
 
 import pytest
 
 from hypersynth.errors import HorizonExceeded, UnboundVariable
 from hypersynth.formula import (
+    And,
     Atom,
+    Body,
+    Eventually,
     Formula,
+    Globally,
+    Iff,
+    Implies,
     Next,
+    Not,
+    Or,
     Quantifier,
-    subformula_count,
+    Release,
+    Until,
+    desugar,
+    negate_nnf,
 )
-from hypersynth.parser import parse, parse_body
+from hypersynth.parser import MAX_NESTING, parse, parse_body
 from hypersynth.plant import Lasso, Plant
 from hypersynth.semantics import (
     check,
@@ -18,8 +32,16 @@ from hypersynth.semantics import (
     eval_quantified,
     eval_quantified_witness,
 )
+from hypersynth.synth import synth_tree_exists_forall, synth_tree_marking
 
-from helpers import naive_eval, random_body, random_lasso, shift_assignment
+from helpers import (
+    naive_eval,
+    random_body,
+    random_lasso,
+    random_letter,
+    shift_assignment,
+    subformula_count,
+)
 
 E, A = Quantifier.EXISTS, Quantifier.FORALL
 
@@ -110,6 +132,162 @@ def test_horizon_guard():
     body = Atom("a", "v0")
     with pytest.raises(HorizonExceeded):
         eval_body(body, asg, horizon=10**6)
+
+
+def _joint_length(asg) -> int:
+    stem = max(len(l.stem) for l in asg.values())
+    period = math.lcm(*(len(l.loop) for l in asg.values()))
+    return stem + period
+
+
+def test_horizon_boundary_counts_shared_nodes_per_occurrence():
+    # the guard compares n * size with the horizon, size counting a node
+    # object (or an equal copy) that occurs twice twice, exactly as the
+    # tree walk does, although the program computes it once
+    rng = random.Random(80)
+    ctors = (And, Or, Implies, Iff, Until, Release)
+    for _ in range(200):
+        shared = random_body(rng, ("p", "q"), budget=5)
+        other = random_body(rng, ("p", "q"), budget=3)
+        ctor = rng.choice(ctors)
+        body = rng.choice((
+            ctor(shared, shared),
+            ctor(shared, copy.deepcopy(shared)),
+            ctor(shared, Next(Or(other, shared))),
+            Not(ctor(Eventually(shared), Globally(shared))),
+        ))
+        asg = {"p": random_lasso(rng), "q": random_lasso(rng)}
+        limit = _joint_length(asg) * subformula_count(body)
+        expected = eval_body(body, asg, horizon=limit)
+        assert eval_body(body, asg, horizon=limit + 1) == expected
+        with pytest.raises(HorizonExceeded):
+            eval_body(body, asg, horizon=limit - 1)
+
+
+def test_horizon_checked_before_bindings():
+    # an oversized joint word is refused even when a binding is missing
+    asg = {"p": Lasso((), (letter(),) * 7), "q": Lasso((), (letter(),) * 11)}
+    with pytest.raises(HorizonExceeded):
+        eval_body(Atom("a", "unbound"), asg, horizon=10)
+
+
+def _long_loop_assignment(rng: random.Random) -> dict[str, Lasso]:
+    # coprime loops 4, 5, 7: the joint period is 140 and masks are wider
+    # than a machine word
+    return {
+        var: Lasso(
+            tuple(random_letter(rng) for _ in range(rng.randint(0, 3))),
+            tuple(random_letter(rng) for _ in range(k)),
+        )
+        for var, k in (("p", 4), ("q", 5), ("r", 7))
+    }
+
+
+def _temporal_depth(body: Body) -> int:
+    kids = [getattr(body, f) for f in ("operand", "left", "right") if hasattr(body, f)]
+    depth = max((_temporal_depth(k) for k in kids), default=0)
+    temporal = isinstance(body, (Until, Release, Eventually, Globally))
+    return depth + temporal
+
+
+def test_long_loops_match_truncation_oracle():
+    rng = random.Random(81)
+    conclusive = 0
+    for _ in range(120):
+        body = random_body(rng, ("p", "q", "r"), budget=6)
+        if rng.random() < 0.5:
+            body = negate_nnf(desugar(body))  # Release nodes, negated atoms
+        if _temporal_depth(body) > 2:
+            continue
+        asg = _long_loop_assignment(rng)
+        # conclusive truncation verdicts are exact at any length; two
+        # joint periods past the longest stem settle most of them
+        expected = naive_eval(body, asg, _joint_length(asg) + 140)
+        if expected is None:
+            continue
+        conclusive += 1
+        assert eval_body(body, asg) == expected
+    assert conclusive > 30
+
+
+def test_long_loop_negation_duality():
+    # truncation never proves a release or a globally true; duality does
+    rng = random.Random(83)
+    for _ in range(150):
+        body = desugar(random_body(rng, ("p", "q", "r"), budget=7))
+        asg = _long_loop_assignment(rng)
+        assert eval_body(negate_nnf(body), asg) == (not eval_body(body, asg))
+
+
+def test_long_loop_shift_coherence_across_the_wrap():
+    rng = random.Random(82)
+    for _ in range(60):
+        body = random_body(rng, ("p", "q", "r"), budget=6)
+        asg = _long_loop_assignment(rng)
+        assert eval_body(Next(body), asg) == eval_body(body, shift_assignment(asg, 1))
+        # k steps past position n-1 wrap back into the loop
+        k = rng.randint(_joint_length(asg) - 3, 2 * _joint_length(asg))
+        shifted = body
+        for _ in range(k):
+            shifted = Next(shifted)
+        assert eval_body(shifted, asg) == eval_body(body, shift_assignment(asg, k))
+
+
+def _deep_chains() -> dict[str, str]:
+    n = MAX_NESTING
+    return {
+        "G": "G " * n + "a[p]",
+        "GX": "G X " * (n // 2) + "a[p]",
+        "iff": " <-> ".join(["a[p]", "b[q]"] * (n // 2) + ["a[q]"]),
+    }
+
+
+def test_deep_desugared_bodies_evaluate():
+    # desugar makes a body at the parser's cap up to ~3x deeper; the
+    # compile pass is iterative, so the result evaluates without recursion
+    asgs = [
+        {"p": Lasso((), (letter("a"),)), "q": Lasso((letter("b"),), (letter("a"),))},
+        {"p": Lasso((letter("a"),), (letter("a", "b"), letter())), "q": Lasso((), (letter("b"),))},
+    ]
+    for name, text in _deep_chains().items():
+        body = parse_body(text)
+        sugar_free = desugar(body)
+        # each <-> doubles the desugared tree (its operands are shared by
+        # identity), so that chain needs an unbounded horizon
+        horizon = math.inf if name == "iff" else 10**6
+        for asg in asgs:
+            assert eval_body(sugar_free, asg, horizon) == eval_body(body, asg)
+
+
+def test_evaluation_leaves_no_reference_cycles():
+    def fresh():
+        plant = Plant(
+            {"r", "x", "y", "z"},
+            "r",
+            {("r", "x"), ("r", "y"), ("r", "z"), ("x", "x"), ("y", "y"), ("z", "z")},
+            set(),
+            {"x": {"a"}, "y": {"b"}, "z": {"a", "b"}},
+        )
+        return plant, {Lasso((), (letter("a"),)), Lasso((letter("b"),), (letter(),))}
+
+    def run():
+        plant, traces = fresh()
+        body = parse_body("G(a[p] <-> a[q]) & F b[p] & (a[p] U b[q])")
+        asg = {"p": Lasso((letter("a"),), (letter("b"), letter())), "q": Lasso((), (letter("a"),))}
+        for _ in range(20):
+            eval_body(body, asg)
+        eval_quantified_witness(parse("forall p. forall q. G(a[p] <-> a[q])"), traces)
+        synth_tree_exists_forall(plant, parse("exists p. forall q. F a[q]"))
+        synth_tree_marking(plant, parse("forall p. exists q. F(a[q] & b[q])"))
+
+    run()  # first calls may fill interpreter-level caches
+    gc.collect()
+    gc.disable()
+    try:
+        run()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # --- quantified evaluation ---------------------------------------------------
