@@ -188,13 +188,9 @@ def cmd_synth(args) -> int:
     started = time.perf_counter()
     plant = _load_plant(args.plant)
     formula = _load_formula(args.formula)
-    try:
-        result = dispatch(
-            plant, formula, bounds=_bounds(args), max_candidate_bits=args.max_c
-        )
-    except CandidateSpaceExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GUARD
+    result = dispatch(
+        plant, formula, bounds=_bounds(args), max_candidate_bits=args.max_c
+    )
     witness_path = None
     if result.realizable and args.out is not None:
         # the text of json.dumps(witness, indent=2, sort_keys=True), whose
@@ -267,11 +263,7 @@ def cmd_casestudy(args) -> int:
     cons = consistency_formula()
     if args.strategy == "synthesize":
         objective = combined_objective_formula() if args.with_consistency else phi
-        try:
-            result = dispatch(plant, objective, max_candidate_bits=args.max_c)
-        except CandidateSpaceExceeded as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_GUARD
+        result = dispatch(plant, objective, max_candidate_bits=args.max_c)
         report = RunReport(
             verdict=result.verdict.value,
             exact=result.exact,
@@ -376,6 +368,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         _threads_cap()
         return args.func(args)
+    except CandidateSpaceExceeded as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_GUARD
     except HypersynthError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -5,11 +5,14 @@ The body grammar is LTL whose atoms are indexed by trace variables.  The
 core connectives are true, atoms, negation, disjunction, until, and next;
 conjunction, implication, equivalence, eventually, and globally are
 derived forms removed by :func:`desugar`.  A Release node exists so that
-:func:`negate_nnf` stays linear; it is internal and never printed.
+:func:`negate_nnf` stays linear; it is internal and prints through its
+until definition.
 
-Each body instance compiles once, on first use, to a flat post-order
-:class:`Program` (see :func:`compile_body`), which the evaluator in
-:mod:`hypersynth.semantics` runs.
+Every walk over a body (:func:`compile_body`, :func:`free_vars`,
+:func:`desugar`, :func:`negate_nnf`, the printer) is one loop over
+:func:`post_order`, which lists its nodes operands first without recursing.
+A body compiles once, on first use, to a flat :class:`Program`, which
+:mod:`hypersynth.semantics` evaluates and ``==``/``hash`` compare.
 """
 
 from __future__ import annotations
@@ -23,7 +26,9 @@ from .errors import DuplicateQuantifier, UnboundVariable
 
 
 class Body:
-    """Base class for body AST nodes."""
+    """Base class for body AST nodes.  Bodies are equal when they are the
+    same tree, shared or copied: ``==`` and ``hash`` compare the programs of
+    :func:`compile_body`, compiled afresh so nothing is stored."""
 
     __slots__ = ()
 
@@ -32,59 +37,67 @@ class Body:
         """The compiled form of this instance, built on first use."""
         return compile_body(self)
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Body):
+            return NotImplemented
+        return compile_body(self) == compile_body(other)
 
-@dataclass(frozen=True)
+    def __hash__(self) -> int:
+        return hash(compile_body(self))
+
+
+@dataclass(frozen=True, eq=False)
 class TrueBool(Body):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Atom(Body):
     prop: str
     var: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Not(Body):
     operand: Body
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Or(Body):
     left: Body
     right: Body
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class And(Body):
     left: Body
     right: Body
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Implies(Body):
     left: Body
     right: Body
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Iff(Body):
     left: Body
     right: Body
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Next(Body):
     operand: Body
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Until(Body):
     left: Body
     right: Body
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Release(Body):
     """Dual of until; internal only (introduced by negate_nnf)."""
 
@@ -92,12 +105,12 @@ class Release(Body):
     right: Body
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Eventually(Body):
     operand: Body
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Globally(Body):
     operand: Body
 
@@ -136,22 +149,57 @@ class Formula:
 
 
 def free_vars(body: Body) -> frozenset[str]:
-    if isinstance(body, TrueBool):
-        return frozenset()
-    if isinstance(body, Atom):
-        return frozenset((body.var,))
-    if isinstance(body, (Not, Next, Eventually, Globally)):
-        return free_vars(body.operand)
-    if isinstance(body, (Or, And, Implies, Iff, Until, Release)):
-        return free_vars(body.left) | free_vars(body.right)
-    raise TypeError(f"unknown body node {body!r}")
+    return frozenset(node.var for node, _ in post_order(body) if type(node) is Atom)
+
+
+# --- the one walk -------------------------------------------------------------
+
+_ARITY = {
+    **dict.fromkeys((TrueBool, Atom), 0),
+    **dict.fromkeys((Not, Next, Eventually, Globally), 1),
+    **dict.fromkeys((Or, And, Implies, Iff, Until, Release), 2),
+}
+_LIST = object()  # stack marker, see post_order
+
+
+def post_order(body: Body) -> list[tuple[Body, tuple[int, ...]]]:
+    """Each distinct node object of ``body`` once, operands before the
+    node and left before right, paired with the positions of its operands
+    in the list; the root is last.  Built without recursion, so a body's
+    depth is limited by memory only.  Raises TypeError on a node that is
+    not a body node.
+    """
+    order: list[tuple[Body, tuple[int, ...]]] = []
+    position: dict[int, int] = {}  # node identity -> index in order
+    # nodes to visit, and (_LIST, operator, left, right or None) once the
+    # operator's operands are pushed above it: listed when popped again
+    stack: list = [body]
+    while stack:
+        node = stack.pop()
+        if type(node) is tuple and node[0] is _LIST:
+            _, node, left, right = node
+            args = (position[id(left)],)
+            if right is not None:
+                args += (position[id(right)],)
+        elif id(node) in position:
+            continue
+        else:
+            arity = _ARITY.get(type(node))
+            if arity is None:
+                raise TypeError(f"unknown body node {node!r}")
+            if arity == 1:
+                stack += ((_LIST, node, node.operand, None), node.operand)
+                continue
+            if arity == 2:
+                stack += ((_LIST, node, node.left, node.right), node.right, node.left)
+                continue
+            args = ()
+        position[id(node)] = len(order)
+        order.append((node, args))
+    return order
 
 
 # --- compiled form -----------------------------------------------------------
-
-_UNARY = (Not, Next, Eventually, Globally)
-_BINARY = (Or, And, Implies, Iff, Until, Release)
-_OPERATORS = frozenset((TrueBool, *_UNARY, *_BINARY))
 
 
 class Program(NamedTuple):
@@ -172,49 +220,28 @@ class Program(NamedTuple):
     size: int
 
 
-def _operands(node: Body) -> tuple[Body, ...]:
-    if isinstance(node, _UNARY):
-        return (node.operand,)
-    if isinstance(node, _BINARY):
-        return (node.left, node.right)
-    return ()
-
-
 def compile_body(body: Body) -> Program:
-    """Flatten a body into a :class:`Program` by one iterative post-order
-    pass (left operand first), so its depth is limited by memory only.
+    """Flatten a body into a :class:`Program` in one pass over
+    :func:`post_order`.
 
     Each node gets a value number: an atom its (variable, proposition),
     an operator the index of its (class, operand numbers) among the
     distinct operators seen, so equal subtrees get one number.  Slots are
     assigned once all atoms are known.
     """
-    number_of: dict[int, tuple[str, str] | int] = {}  # node identity -> number
-    size_of: dict[int, int] = {}  # node identity -> tree size
+    numbers: list[tuple[str, str] | int] = []  # per listed node
+    sizes: list[int] = []  # per listed node: its tree size
     atoms: dict[str, dict[str, None]] = {}  # variable -> propositions
     operators: dict[tuple, int] = {}  # (class, operand numbers) -> number
-    stack = [body]
-    while stack:
-        node = stack[-1]
-        if id(node) in number_of:
-            stack.pop()
-            continue
-        kids = _operands(node)
-        pending = [k for k in reversed(kids) if id(k) not in number_of]
-        if pending:
-            stack.extend(pending)
-            continue
-        stack.pop()
-        if isinstance(node, Atom):
+    for node, args in post_order(body):
+        if type(node) is Atom:
             atoms.setdefault(node.var, {})[node.prop] = None
-            number_of[id(node)] = (node.var, node.prop)
-            size_of[id(node)] = 1
+            numbers.append((node.var, node.prop))
+            sizes.append(1)
             continue
-        if type(node) not in _OPERATORS:
-            raise TypeError(f"unknown body node {node!r}")
-        key = (type(node), *(number_of[id(k)] for k in kids))
-        number_of[id(node)] = operators.setdefault(key, len(operators))
-        size_of[id(node)] = 1 + sum(size_of[id(k)] for k in kids)
+        key = (type(node), *[numbers[i] for i in args])
+        numbers.append(operators.setdefault(key, len(operators)))
+        sizes.append(1 + sum([sizes[i] for i in args]))
     atom_slot = {
         atom: i
         for i, atom in enumerate(
@@ -231,37 +258,38 @@ def compile_body(body: Body) -> Program:
         for op, *operands in operators
     )
     program_atoms = tuple((var, tuple(props)) for var, props in atoms.items())
-    return Program(program_atoms, code, size_of[id(body)])
+    return Program(program_atoms, code, sizes[-1])
+
+
+# derived form -> its rewrite over the desugared operands; the core forms
+# are rebuilt from their desugared operands, leaves are kept
+_DESUGAR = {
+    And: lambda a, b: Not(Or(Not(a), Not(b))),
+    Implies: lambda a, b: Or(Not(a), b),
+    Iff: lambda a, b: Not(Or(Not(Or(Not(a), b)), Not(Or(Not(b), a)))),
+    # R is sugar-free only internally; expand via its definition
+    Release: lambda a, b: Not(Until(Not(a), Not(b))),
+    Eventually: lambda a: Until(TrueBool(), a),
+    Globally: lambda a: Not(Until(TrueBool(), Not(a))),
+}
 
 
 def desugar(body: Body) -> Body:
     """Rewrite derived forms into the core {true, atom, !, |, U, X}."""
-    if isinstance(body, (TrueBool, Atom)):
-        return body
-    if isinstance(body, Not):
-        return Not(desugar(body.operand))
-    if isinstance(body, Or):
-        return Or(desugar(body.left), desugar(body.right))
-    if isinstance(body, And):
-        return Not(Or(Not(desugar(body.left)), Not(desugar(body.right))))
-    if isinstance(body, Implies):
-        return Or(Not(desugar(body.left)), desugar(body.right))
-    if isinstance(body, Iff):
-        a, b = desugar(body.left), desugar(body.right)
-        return Not(Or(Not(Or(Not(a), b)), Not(Or(Not(b), a))))
-    if isinstance(body, Next):
-        return Next(desugar(body.operand))
-    if isinstance(body, Until):
-        return Until(desugar(body.left), desugar(body.right))
-    if isinstance(body, Release):
-        # R is sugar-free only internally; expand via its definition
-        a, b = desugar(body.left), desugar(body.right)
-        return Not(Until(Not(a), Not(b)))
-    if isinstance(body, Eventually):
-        return Until(TrueBool(), desugar(body.operand))
-    if isinstance(body, Globally):
-        return Not(Until(TrueBool(), Not(desugar(body.operand))))
-    raise TypeError(f"unknown body node {body!r}")
+    out: list[Body] = []
+    for node, args in post_order(body):
+        if args:
+            node = _DESUGAR.get(type(node), type(node))(*[out[i] for i in args])
+        out.append(node)
+    return out[-1]
+
+
+# operator -> (constructor of its NNF, constructor of its negation's NNF),
+# each applied to the operands' forms of the same polarity
+_NNF = {
+    Or: (Or, And), And: (And, Or), Next: (Next, Next),
+    Until: (Until, Release), Release: (Release, Until),
+}
 
 
 def negate_nnf(body: Body) -> Body:
@@ -270,44 +298,25 @@ def negate_nnf(body: Body) -> Body:
     Negations end up only on atoms (and on the literal true); until dualizes
     to Release.  The result uses {true, !true, atom, !atom, |, &, U, R, X}
     and is semantically the negation of the input on every assignment.
+    Every node gets both forms, so a negation just swaps its operand's.
     """
-    return _nnf_neg(body)
-
-
-def _nnf_pos(body: Body) -> Body:
-    if isinstance(body, (TrueBool, Atom)):
-        return body
-    if isinstance(body, Not):
-        return _nnf_neg(body.operand)
-    if isinstance(body, Or):
-        return Or(_nnf_pos(body.left), _nnf_pos(body.right))
-    if isinstance(body, And):
-        return And(_nnf_pos(body.left), _nnf_pos(body.right))
-    if isinstance(body, Next):
-        return Next(_nnf_pos(body.operand))
-    if isinstance(body, Until):
-        return Until(_nnf_pos(body.left), _nnf_pos(body.right))
-    if isinstance(body, Release):
-        return Release(_nnf_pos(body.left), _nnf_pos(body.right))
-    raise TypeError(f"negate_nnf requires a desugared body, got {body!r}")
-
-
-def _nnf_neg(body: Body) -> Body:
-    if isinstance(body, (TrueBool, Atom)):
-        return Not(body)
-    if isinstance(body, Not):
-        return _nnf_pos(body.operand)
-    if isinstance(body, Or):
-        return And(_nnf_neg(body.left), _nnf_neg(body.right))
-    if isinstance(body, And):
-        return Or(_nnf_neg(body.left), _nnf_neg(body.right))
-    if isinstance(body, Next):
-        return Next(_nnf_neg(body.operand))
-    if isinstance(body, Until):
-        return Release(_nnf_neg(body.left), _nnf_neg(body.right))
-    if isinstance(body, Release):
-        return Until(_nnf_neg(body.left), _nnf_neg(body.right))
-    raise TypeError(f"negate_nnf requires a desugared body, got {body!r}")
+    pos: list[Body] = []
+    neg: list[Body] = []
+    for node, args in post_order(body):
+        kind = type(node)
+        if kind is Not:
+            pos.append(neg[args[0]])
+            neg.append(pos[args[0]])
+        elif not args:
+            pos.append(node)
+            neg.append(Not(node))
+        elif kind in _NNF:
+            positive, negative = _NNF[kind]
+            pos.append(positive(*[pos[i] for i in args]))
+            neg.append(negative(*[neg[i] for i in args]))
+        else:
+            raise TypeError(f"negate_nnf requires a desugared body, got {node!r}")
+    return neg[-1]
 
 
 # --- fragment classification ----------------------------------------------

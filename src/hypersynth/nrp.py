@@ -175,12 +175,16 @@ def build_plant(cfg: ProtocolConfig) -> Plant:
     c_edges: set[tuple[str, str]] = set()
     u_edges: set[tuple[str, str]] = set()
     max_depth = 3 * cfg.rounds
-
-    def walk(state: str, depth: int, status: frozenset[str]) -> None:
+    # a worklist rather than a recursive closure, which would be a
+    # reference cycle
+    labels["root"] = frozenset()
+    stack = [("root", 0, frozenset())]
+    while stack:
+        state, depth, status = stack.pop()
         states.add(state)
         if depth == max_depth:
             c_edges.add((state, state))  # leaf closure
-            return
+            continue
         role = turn_of_depth(depth)
         round_ix = depth // 3
         controllable = role == "T"
@@ -189,10 +193,7 @@ def build_plant(cfg: ProtocolConfig) -> Plant:
             child = f"{state}/{action}"
             labels[child] = frozenset({action}) | nxt_status
             (c_edges if controllable else u_edges).add((state, child))
-            walk(child, depth + 1, nxt_status)
-
-    labels["root"] = frozenset()
-    walk("root", 0, frozenset())
+            stack.append((child, depth + 1, nxt_status))
     return Plant(
         states=frozenset(states),
         init="root",

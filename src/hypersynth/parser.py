@@ -1,5 +1,6 @@
 """Concrete syntax for formulas: tokenizer, recursive-descent parser, and
-pretty printer.
+pretty printer.  The printer reads the parser's operator tables, so
+precedence and associativity are stated once.
 
 Grammar (binding strength increases downward, U is right-associative):
 
@@ -39,6 +40,7 @@ from .formula import (
     Release,
     TrueBool,
     Until,
+    post_order,
 )
 
 _KEYWORDS = {"forall", "exists", "true", "false", "U", "X", "F", "G"}
@@ -55,11 +57,11 @@ _BINARY = {
 }
 _PREFIX = {"!": Not, "X": Next, "F": Eventually, "G": Globally}
 
-# The parser and the printer recurse at most twice per nesting level, so
-# bodies within this depth parse and print well inside the interpreter's
-# default recursion limit of 1000 frames.  eval_body does not recurse: it
-# compiles a body in one iterative pass, so the output of desugar, up to
-# about three times deeper than its input, evaluates as well.
+# The parser recurses at most twice per nesting level, so bodies within
+# this depth parse well inside the interpreter's default recursion limit of
+# 1000 frames.  No other walk over a body recurses (see formula.post_order),
+# so the output of desugar, up to about three times deeper than its input,
+# prints, compares and evaluates as well.
 MAX_NESTING = 250
 
 
@@ -238,68 +240,56 @@ def parse_body(text: str) -> Body:
 
 # --- printing --------------------------------------------------------------
 
-# binding strength; parent prints parens around a child of looser level
-_LEVEL_IFF, _LEVEL_IMPLIES, _LEVEL_OR, _LEVEL_AND, _LEVEL_UNTIL, _LEVEL_UNARY = range(6)
-
-
-def _level(body: Body) -> int:
-    if isinstance(body, Iff):
-        return _LEVEL_IFF
-    if isinstance(body, Implies):
-        return _LEVEL_IMPLIES
-    if isinstance(body, Or):
-        return _LEVEL_OR
-    if isinstance(body, And):
-        return _LEVEL_AND
-    if isinstance(body, (Until, Release)):
-        return _LEVEL_UNTIL
-    return _LEVEL_UNARY
-
-
-def _print_at(body: Body, min_level: int) -> str:
-    text = _print(body)
-    if _level(body) < min_level:
-        return f"({text})"
-    return text
-
-
-def _print(body: Body) -> str:
-    if isinstance(body, TrueBool):
-        return "true"
-    if isinstance(body, Not):
-        if isinstance(body.operand, TrueBool):
-            return "false"
-        return "!" + _print_at(body.operand, _LEVEL_UNARY)
-    if isinstance(body, Atom):
-        return f"{body.prop}[{body.var}]"
-    if isinstance(body, Iff):
-        # left-assoc chain: right child needs parens at equal level
-        return f"{_print_at(body.left, _LEVEL_IFF)} <-> {_print_at(body.right, _LEVEL_IFF + 1)}"
-    if isinstance(body, Implies):
-        return f"{_print_at(body.left, _LEVEL_IMPLIES + 1)} -> {_print_at(body.right, _LEVEL_IMPLIES)}"
-    if isinstance(body, Or):
-        return f"{_print_at(body.left, _LEVEL_OR)} | {_print_at(body.right, _LEVEL_OR + 1)}"
-    if isinstance(body, And):
-        return f"{_print_at(body.left, _LEVEL_AND)} & {_print_at(body.right, _LEVEL_AND + 1)}"
-    if isinstance(body, Until):
-        return f"{_print_at(body.left, _LEVEL_UNTIL + 1)} U {_print_at(body.right, _LEVEL_UNTIL)}"
-    if isinstance(body, Release):
-        # internal node: print through its until definition
-        return _print(Not(Until(Not(body.left), Not(body.right))))
-    if isinstance(body, Next):
-        return "X " + _print_at(body.operand, _LEVEL_UNARY)
-    if isinstance(body, Eventually):
-        return "F " + _print_at(body.operand, _LEVEL_UNARY)
-    if isinstance(body, Globally):
-        return "G " + _print_at(body.operand, _LEVEL_UNARY)
-    raise TypeError(f"unknown body node {body!r}")
+# the grammar tables read backwards: node class -> operator text (a word
+# needs a space before its operand), and the level of atoms and prefix
+# forms, above every binary level
+_BINARY_TEXT = {
+    ctor: (text, level, right) for text, (level, right, ctor) in _BINARY.items()
+}
+_PREFIX_TEXT = {ctor: text + " " * text.isalpha() for text, ctor in _PREFIX.items()}
+_ATOMIC = 1 + max(level for level, _, _ in _BINARY.values())
 
 
 def print_body(body: Body) -> str:
-    return _print(body)
+    """Text of a body, which parses back to the same body: each node gets
+    its text and binding level, and an operand looser than its position
+    allows is parenthesized.  Release, internal only, prints through its
+    until definition ``!(!a U !b)`` at the level of U."""
+    nodes = post_order(body)
+    texts: list[str] = []
+    levels: list[int] = []
+
+    def operand(i: int, min_level: int) -> str:
+        return texts[i] if levels[i] >= min_level else f"({texts[i]})"
+
+    def negated(i: int) -> str:
+        return "false" if type(nodes[i][0]) is TrueBool else "!" + operand(i, _ATOMIC)
+
+    for node, args in nodes:
+        kind = type(node)
+        level = _ATOMIC
+        if kind is TrueBool:
+            text = "true"
+        elif kind is Atom:
+            text = f"{node.prop}[{node.var}]"
+        elif kind is Not:
+            text = negated(*args)
+        elif kind in _PREFIX_TEXT:
+            text = _PREFIX_TEXT[kind] + operand(*args, _ATOMIC)
+        elif kind is Release:
+            level = _BINARY["U"][0]
+            text = "!({} U {})".format(*map(negated, args))
+        else:
+            sym, level, right = _BINARY_TEXT[kind]
+            # only the operand on the associating side may share the level
+            lhs, rhs = (level + 1, level) if right else (level, level + 1)
+            text = f"{operand(args[0], lhs)} {sym} {operand(args[1], rhs)}"
+        texts.append(text)
+        levels.append(level)
+    return texts[-1]
 
 
 def print_formula(f: Formula) -> str:
     parts = [f"{q.value} {name}." for q, name in f.prefix]
-    parts.append(_print(f.body))
+    parts.append(print_body(f.body))
     return " ".join(parts)

@@ -150,17 +150,23 @@ def candidate_space_bits(plant: Plant) -> float:
 def _removals(plant: Plant) -> Iterator[frozenset[Edge]]:
     """All edge-removal sets that keep every state deadlock-free, in
     increasing order of removal count (hence decreasing retained size),
-    deterministic within each size."""
-    points = _choice_points(plant)
+    deterministic within each size.
+
+    A choice point with nothing removable (one controllable out-edge and
+    no uncontrollable one) only ever contributes the empty set, so it is
+    left out: the recursion is then as deep as the points with a choice,
+    at most one per bit of the candidate space."""
     buckets: list[list[list[frozenset[Edge]]]] = []
-    for _, edges, has_u in points:
+    for _, edges, has_u in _choice_points(plant):
         max_k = len(edges) if has_u else len(edges) - 1
+        if max_k == 0:
+            continue
         buckets.append(
             [[frozenset(c) for c in combinations(edges, k)] for k in range(max_k + 1)]
         )
 
     def rec(idx: int, remaining: int) -> Iterator[tuple[frozenset[Edge], ...]]:
-        if idx == len(points):
+        if idx == len(buckets):
             if remaining == 0:
                 yield ()
             return
@@ -274,18 +280,33 @@ class _Keepable:
         self.memo: dict[str, bool] = {}
 
     def __call__(self, s: str) -> bool:
-        got = self.memo.get(s)
-        if got is not None:
-            return got
-        idx = self.idx
-        if s in idx.terminals:
-            result = self.leaf_ok(s)
-        elif s in idx.u_succ:
-            result = all(map(self, idx.u_succ[s]))
-        else:
-            result = any(map(self, idx.c_succ[s]))
-        self.memo[s] = result
-        return result
+        """Depth-first over an explicit stack, so a tree of any depth is
+        decided; children are read left to right and a state is decided
+        by its first failing (all) or passing (any) child, as all()/any()
+        would."""
+        memo, idx = self.memo, self.idx
+        # states being decided: (state, children not yet read, whether
+        # every child must pass)
+        stack: list[tuple[str, Iterator[str], bool]] = []
+        while True:
+            result = memo.get(s)
+            if result is None and s in idx.terminals:
+                result = memo[s] = bool(self.leaf_ok(s))
+            elif result is None:
+                every = s in idx.u_succ
+                children = idx.u_succ[s] if every else idx.c_succ[s]
+                stack.append((s, iter(children), every))
+            while stack:
+                state, children, every = stack[-1]
+                if result is None or result is every:
+                    s = next(children, None)
+                    if s is not None:
+                        break  # decide this child first
+                    result = every
+                memo[state] = result
+                stack.pop()
+            else:
+                return result
 
 
 def _kept_states(plant: Plant, keepable) -> set[str]:

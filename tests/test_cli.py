@@ -138,6 +138,13 @@ def test_synth_guard_exit_code(tmp_path, capsys):
     plant.write_text(json.dumps(doc))
     f = _formula_file(tmp_path, "forall p. forall q. G(a[p] <-> a[q])")
     assert main(["synth", str(plant), f]) == 4
+    assert "error: candidate space" in capsys.readouterr().err
+
+
+def test_casestudy_guard_exit_code(capsys):
+    argv = ["casestudy", "--strategy", "synthesize", "--with-consistency"]
+    assert main(argv) == 4
+    assert "error: candidate space" in capsys.readouterr().err
 
 
 def test_reduce_3sat_round_trips_through_cli_files(tmp_path, capsys):
@@ -155,6 +162,17 @@ def test_reduce_3sat_round_trips_through_cli_files(tmp_path, capsys):
     assert load_plant(plant_file.read_text()) == direct.plant
     # and both check and synth accept the generated files
     assert main(["synth", str(plant_file), str(formula_file)]) == 0
+    capsys.readouterr()
+
+
+def test_synth_on_many_single_edge_choice_points(tmp_path, capsys):
+    # 200 variables give about 2400 states with one controllable edge each
+    cnf_file = tmp_path / "wide.cnf"
+    cnf_file.write_text("p cnf 200 4\n1 2 3 0\n-1 4 5 0\n200 -2 6 0\n-200 7 -8 0\n")
+    out_dir = tmp_path / "wide"
+    assert main(["reduce", "3sat", str(cnf_file), "--out-dir", str(out_dir)]) == 0
+    plant, formula = out_dir / "3sat.plant.json", out_dir / "3sat.formula.hltl"
+    assert main(["synth", str(plant), str(formula)]) == 0
     capsys.readouterr()
 
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -21,11 +22,14 @@ from hypersynth.formula import (
     Until,
     alternation_count,
     classify_fragment,
+    compile_body,
     desugar,
     free_vars,
     negate_nnf,
+    post_order,
 )
-from hypersynth.parser import parse, parse_body, print_body, print_formula
+from hypersynth.parser import MAX_NESTING, parse, parse_body, print_body, print_formula
+from hypersynth.plant import Lasso
 from hypersynth.semantics import eval_body
 
 from helpers import random_body, random_lasso, random_prefix_formula
@@ -170,11 +174,113 @@ def test_negate_nnf_equivalence_randomized():
         assert _is_nnf(negated)
         asg = {"p": random_lasso(rng), "q": random_lasso(rng)}
         assert eval_body(negated, asg) == (not eval_body(body, asg))
+        # negating again reads And and Release nodes
+        assert eval_body(negate_nnf(negated), asg) == eval_body(body, asg)
 
 
 def test_free_vars():
     body = Or(Atom("a", "p"), Until(TrueBool(), Atom("b", "q")))
     assert free_vars(body) == {"p", "q"}
+
+
+# --- the one walk ------------------------------------------------------------
+
+
+def test_post_order_lists_each_node_once_operands_first():
+    a = Atom("a", "p")
+    shared = Next(a)
+    until = Until(shared, a)
+    body = Or(until, shared)
+    order = post_order(body)
+    assert [id(node) for node, _ in order] == list(map(id, (a, shared, until, body)))
+    assert [args for _, args in order] == [(), (0,), (1, 0), (2, 1)]
+
+
+@pytest.mark.parametrize(
+    "walk", [post_order, free_vars, desugar, negate_nnf, print_body, compile_body, hash]
+)
+def test_walks_reject_foreign_nodes(walk):
+    with pytest.raises(TypeError):
+        walk(Or(Atom("a", "p"), Not("b[p]")))
+
+
+def test_deep_desugared_bodies_print_compare_and_hash():
+    n = MAX_NESTING
+    shallower = desugar(parse_body("G " * (n - 1) + "a[p]"))
+    a, none = frozenset({"a"}), frozenset()
+    asg = {"p": Lasso((a,), (none, a))}
+    g_text, and_text = "a[p]", "a[p]"
+    for _ in range(n):
+        g_text = f"!(true U !{g_text})"
+        and_text = f"!(!{and_text} | !a[p])"
+    for text, printed in (
+        ("G " * n + "a[p]", g_text),
+        (" & ".join(["a[p]"] * (n + 1)), and_text),
+    ):
+        body = parse_body(text)
+        d = desugar(body)
+        assert print_body(d) == printed
+        assert eval_body(negate_nnf(d), asg) == (not eval_body(d, asg))
+        assert d == desugar(body) and hash(d) == hash(desugar(body))
+        assert d != shallower
+
+
+def test_equality_is_tree_equality():
+    a, b = Atom("a", "p"), Atom("b", "q")
+    shared = Until(Next(a), Next(a))
+    copied = Until(Next(Atom("a", "p")), Next(Atom("a", "p")))
+    assert shared == copied and hash(shared) == hash(copied)
+    assert len({shared, copied}) == 1
+    assert And(a, b) != Or(a, b)
+    assert Or(a, b) != Or(b, a)
+    # one text, two trees: release is printed through its definition
+    release, definition = Release(a, b), Not(Until(Not(a), Not(b)))
+    assert print_body(release) == print_body(definition)
+    assert release != definition
+    assert a.__eq__("a[p]") is NotImplemented
+    assert a != "a[p]"
+
+
+def test_equality_matches_structure_on_random_bodies():
+    rng = random.Random(31)
+    bodies = [random_body(rng, ("p", "q"), rng.randint(1, 4), ("a", "b")) for _ in range(120)]
+    equal_pairs = 0
+    for x, y in itertools.combinations(bodies, 2):
+        assert (x == y) == (repr(x) == repr(y))
+        if x == y:
+            assert hash(x) == hash(y)
+            equal_pairs += 1
+    assert equal_pairs  # the draw repeats some small trees
+
+
+@pytest.mark.parametrize(
+    "body, text",
+    [
+        (Release(TrueBool(), Atom("a", "p")), "!(false U !a[p])"),
+        (Not(Release(Atom("a", "p"), Atom("b", "q"))), "!(!(!a[p] U !b[q]))"),
+        (
+            Until(Release(Atom("a", "p"), Atom("b", "q")), Atom("a", "p")),
+            "(!(!a[p] U !b[q])) U a[p]",
+        ),
+        (
+            negate_nnf(desugar(parse_body("G (a[p] -> F b[q])"))),
+            "true U (a[p] & !(!false U !!b[q]))",
+        ),
+    ],
+)
+def test_printer_golden(body, text):
+    assert print_body(body) == text
+
+
+def test_walks_store_nothing_on_bodies():
+    body = parse_body("G(a[p] -> F b[q]) & X(a[p] <-> (c[q] U a[p]))")
+    fields = [sorted(vars(node)) for node, _ in post_order(body)]
+    f = Formula(((A, "p"), (E, "q")), body)
+    print_formula(f)
+    assert body == parse_body(print_body(body))
+    hash(body)
+    negate_nnf(desugar(body))
+    assert [sorted(vars(node)) for node, _ in post_order(body)] == fields
 
 
 # --- fragments ---------------------------------------------------------------

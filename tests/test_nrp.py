@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from hypersynth.errors import ConfigInvalid, PartialStrategy
@@ -167,3 +169,14 @@ def test_synthesized_witness_covers_correct_strategy():
         apply_solution(plant, encode_strategy(plant, STRATEGIES["correct"]))
     )
     assert correct_traces <= witness_traces
+
+
+def test_build_plant_leaves_no_reference_cycles():
+    build_plant(curated_config())  # first calls may fill interpreter-level caches
+    gc.collect()
+    gc.disable()
+    try:
+        build_plant(curated_config())
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -11,6 +11,7 @@ from hypersynth.errors import (
 from hypersynth.formula import Formula, Quantifier, TrueBool
 from hypersynth.parser import parse
 from hypersynth.plant import FrameKind, Plant, classify_frame, enumerate_traces
+from hypersynth.reductions import decode_assignment, parse_dimacs, threesat_to_instance
 from hypersynth.semantics import check, eval_quantified
 from hypersynth.synth import (
     ControllerSolution,
@@ -24,6 +25,7 @@ from hypersynth.synth import (
 )
 
 from helpers import (
+    cnf_satisfied,
     random_acyclic_plant,
     random_general_plant,
     random_prefix_formula,
@@ -219,3 +221,39 @@ def test_dispatch_sound_on_realizable():
         if result.realizable:
             pruned = apply_solution(plant, result.solution)
             assert check(pruned, f).holds
+
+
+def test_generic_search_depth_follows_choices_not_states():
+    # 1085 states, almost all of them choice points with a single
+    # controllable edge; the candidate space is only about 2^11.2
+    cnf = parse_dimacs("p cnf 90 4\n1 2 3 0\n-1 4 5 0\n90 -2 6 0\n-90 7 -8 0\n")
+    inst = threesat_to_instance(cnf)
+    assert len(inst.plant.states) == 1085
+    assert 11 < candidate_space_bits(inst.plant) < 12
+    result = dispatch(inst.plant, inst.formula)
+    assert result.verdict is Verdict.REALIZABLE
+    assert cnf_satisfied(cnf, decode_assignment(inst, result.solution))
+
+
+def test_tree_routes_decide_deep_chains():
+    # 350 uncontrollable steps, then a controllable choice of two leaves
+    depth = 350
+    chain = [f"c{i}" for i in range(depth)]
+    plant = Plant(
+        set(chain) | {"x", "y"},
+        "c0",
+        {(chain[-1], "x"), (chain[-1], "y"), ("x", "x"), ("y", "y")},
+        set(zip(chain, chain[1:])),
+        {"x": {"a"}, "y": {"b"}},
+    )
+    keep_x = frozenset({(chain[-1], "x"), ("x", "x"), ("y", "y")})
+    for route, text in (
+        (synth_tree_exists_forall, "exists p. forall q. F a[q]"),
+        (synth_tree_marking, "forall p. exists q. F a[p] & F a[q]"),
+    ):
+        f = parse(text)
+        result = route(plant, f)
+        assert result.verdict is Verdict.REALIZABLE
+        assert result.solution.retained == keep_x
+        assert synth_generic(plant, f).solution == result.solution
+        assert check(apply_solution(plant, result.solution), f).holds
