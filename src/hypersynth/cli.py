@@ -1,9 +1,19 @@
 """Command-line front end.
 
-Commands: classify | check | synth | reduce | casestudy.  Exit codes are a
-total function of the verdict: 0 satisfied/realizable, 1 not satisfied/
-unrealizable, 2 malformed input, 3 bounded-unknown (negative at the
-explored bound, general frames only), 4 candidate-space guard tripped.
+Commands: classify | check | synth | reduce | casestudy.  Each command
+returns its report and whether its outcome is positive; ``main`` times
+the call, prints the report (text, or JSON with ``--json``) and derives
+the exit code, a total function of the outcome:
+
+  0  positive: classified, satisfied, realizable, reduced, phi passes
+  1  negative and exact: not satisfied, unrealizable, phi fails
+  2  malformed input: plant, formula, DIMACS/QDIMACS, config, JSON,
+     options or bounds; a file that cannot be read or is not UTF-8; an
+     output path that cannot be written
+  3  negative at the explored bound (bounded-unknown, general frames only)
+  4  candidate-space guard tripped (raise --max-c to search anyway)
+  5  internal error: any other exception; stderr gets the traceback
+
 The environment variable HYPERSYNTH_THREADS caps internal parallelism;
 the engines run deterministically and currently use a single worker,
 which always respects the cap.
@@ -17,6 +27,7 @@ import json
 import os
 import sys
 import time
+import traceback
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -44,7 +55,6 @@ from .plant import (
     validate,
 )
 from .reductions import (
-    SynthesisInstance,
     horn_to_instance,
     normalize_horn,
     parse_dimacs,
@@ -53,53 +63,28 @@ from .reductions import (
     threesat_to_instance,
 )
 from .semantics import check
-from .synth import Verdict, apply_solution, dispatch
+from .synth import DEFAULT_MAX_CANDIDATE_BITS, apply_solution, dispatch
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_BAD_INPUT = 2
 EXIT_BOUNDED = 3
 EXIT_GUARD = 4
+EXIT_INTERNAL = 5
 
 
 @dataclass
-class RunReport:
-    verdict: str
-    exact: bool
-    frame: Optional[str] = None
-    fragment: Optional[str] = None
-    witness_path: Optional[str] = None
-    elapsed: float = 0.0
+class Report:
+    """A command's output apart from the elapsed time, which ``main`` adds:
+    the ``--json`` fields, the text lines, and whether a negative outcome
+    is exact (exit 1) or holds only at the explored bound (exit 3)."""
 
-    def lines(self) -> list[str]:
-        out = [f"verdict: {self.verdict}"]
-        if self.frame is not None:
-            out.append(f"frame: {self.frame}")
-        if self.fragment is not None:
-            out.append(f"fragment: {self.fragment}")
-        out.append(f"exact: {'yes' if self.exact else 'no'}")
-        if self.witness_path is not None:
-            out.append(f"witness: {self.witness_path}")
-        out.append(f"elapsed: {self.elapsed:.3f}s")
-        return out
-
-    def to_json(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "exact": self.exact,
-            "frame": self.frame,
-            "fragment": self.fragment,
-            "witness": self.witness_path,
-            "elapsed": round(self.elapsed, 6),
-        }
+    fields: dict
+    lines: list[str]
+    exact: bool = True
 
 
-def _emit(report: RunReport, as_json: bool) -> None:
-    if as_json:
-        print(json.dumps(report.to_json(), indent=2))
-    else:
-        for line in report.lines():
-            print(line)
+Outcome = tuple[Report, bool]
 
 
 def _threads_cap() -> int:
@@ -118,8 +103,17 @@ def _threads_cap() -> int:
 def _read(path: str) -> str:
     try:
         return Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeError) as exc:
         raise HypersynthError(f"cannot read {path}: {exc}") from exc
+
+
+def _write(path: Path, text: str, make_dirs: bool = False) -> None:
+    try:
+        if make_dirs:
+            path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except (OSError, UnicodeError) as exc:
+        raise HypersynthError(f"cannot write {path}: {exc}") from exc
 
 
 def _load_plant(path: str) -> Plant:
@@ -132,8 +126,8 @@ def _load_formula(path: str) -> Formula:
     return parse(_read(path))
 
 
-def _plant_sha(plant: Plant) -> str:
-    return hashlib.sha256(dump_plant(plant).encode()).hexdigest()
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def _bounds(args) -> Optional[tuple[int, int]]:
@@ -146,91 +140,81 @@ def _bounds(args) -> Optional[tuple[int, int]]:
     return (args.stem_bound, args.loop_bound)
 
 
-def cmd_classify(args) -> int:
-    started = time.perf_counter()
+def _report(
+    plant: Plant,
+    formula: Optional[Formula],
+    verdict: Optional[str] = None,
+    exact: bool = True,
+    witness: Optional[str] = None,
+) -> Report:
+    """The report of classify, check, synth and reduce; classify's verdict
+    is the frame."""
+    frame = classify_frame(plant).value
+    fragment = None if formula is None else str(classify_fragment(formula))
+    verdict = frame if verdict is None else verdict
+    fields = {
+        "verdict": verdict,
+        "exact": exact,
+        "frame": frame,
+        "fragment": fragment,
+        "witness": witness,
+    }
+    text = {
+        "verdict": verdict,
+        "frame": frame,
+        "fragment": fragment,
+        "exact": "yes" if exact else "no",
+        "witness": witness,
+    }
+    return Report(fields, [f"{k}: {v}" for k, v in text.items() if v is not None], exact)
+
+
+def cmd_classify(args) -> Outcome:
     plant = _load_plant(args.plant)
-    frame = classify_frame(plant)
-    fragment = None
-    if args.formula is not None:
-        fragment = str(classify_fragment(_load_formula(args.formula)))
+    formula = None if args.formula is None else _load_formula(args.formula)
     if args.dot is not None:
-        Path(args.dot).write_text(to_dot(plant))
-    report = RunReport(
-        verdict=frame.value,
-        exact=True,
-        frame=frame.value,
-        fragment=fragment,
-        elapsed=time.perf_counter() - started,
-    )
-    _emit(report, args.json)
-    return EXIT_OK
+        _write(Path(args.dot), to_dot(plant))
+    return _report(plant, formula), True
 
 
-def cmd_check(args) -> int:
-    started = time.perf_counter()
+def cmd_check(args) -> Outcome:
     plant = _load_plant(args.plant)
     formula = _load_formula(args.formula)
     result = check(plant, formula, bounds=_bounds(args))
-    report = RunReport(
-        verdict="satisfied" if result.holds else "not-satisfied",
-        exact=result.exact,
-        frame=classify_frame(plant).value,
-        fragment=str(classify_fragment(formula)),
-        elapsed=time.perf_counter() - started,
-    )
-    _emit(report, args.json)
-    if result.holds:
-        return EXIT_OK
-    return EXIT_NEGATIVE if result.exact else EXIT_BOUNDED
+    verdict = "satisfied" if result.holds else "not-satisfied"
+    return _report(plant, formula, verdict, result.exact), result.holds
 
 
-def cmd_synth(args) -> int:
-    started = time.perf_counter()
-    plant = _load_plant(args.plant)
-    formula = _load_formula(args.formula)
-    result = dispatch(
-        plant, formula, bounds=_bounds(args), max_candidate_bits=args.max_c
-    )
-    witness_path = None
-    if result.realizable and args.out is not None:
+def _synthesize(
+    plant: Plant,
+    formula: Formula,
+    max_c: int,
+    bounds: Optional[tuple[int, int]] = None,
+    out: Optional[str] = None,
+) -> Outcome:
+    result = dispatch(plant, formula, bounds=bounds, max_candidate_bits=max_c)
+    witness = out if result.realizable else None
+    if witness is not None:
         # the text of json.dumps(witness, indent=2, sort_keys=True), whose
         # indenting encoder is pure Python
-        Path(args.out).write_text(
+        _write(
+            Path(witness),
             "{\n"
-            f'  "plant_sha256": "{_plant_sha(plant)}",\n'
+            f'  "plant_sha256": "{_sha256(dump_plant(plant))}",\n'
             f'  "retained": {dump_edges(result.solution.retained)}\n'
-            "}\n"
+            "}\n",
         )
-        witness_path = args.out
-    report = RunReport(
-        verdict=result.verdict.value,
-        exact=result.exact,
-        frame=classify_frame(plant).value,
-        fragment=str(classify_fragment(formula)),
-        witness_path=witness_path,
-        elapsed=time.perf_counter() - started,
-    )
-    _emit(report, args.json)
-    if result.verdict is Verdict.REALIZABLE:
-        return EXIT_OK
-    if result.verdict is Verdict.UNREALIZABLE:
-        return EXIT_NEGATIVE
-    return EXIT_BOUNDED
+    report = _report(plant, formula, result.verdict.value, result.exact, witness)
+    return report, result.realizable
 
 
-def _write_instance(inst: SynthesisInstance, out_dir: Path, stem: str) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / f"{stem}.plant.json").write_text(dump_plant(inst.plant))
-    (out_dir / f"{stem}.formula.hltl").write_text(print_formula(inst.formula) + "\n")
-    meta = dict(inst.decoder_meta)
-    meta["plant_sha256"] = _plant_sha(inst.plant)
-    (out_dir / f"{stem}.decoder.json").write_text(
-        json.dumps(meta, indent=2, sort_keys=True) + "\n"
-    )
+def cmd_synth(args) -> Outcome:
+    plant = _load_plant(args.plant)
+    formula = _load_formula(args.formula)
+    return _synthesize(plant, formula, args.max_c, _bounds(args), args.out)
 
 
-def cmd_reduce(args) -> int:
-    started = time.perf_counter()
+def cmd_reduce(args) -> Outcome:
     text = _read(args.input)
     if args.kind == "horn":
         inst = horn_to_instance(normalize_horn(parse_dimacs(text)))
@@ -238,58 +222,37 @@ def cmd_reduce(args) -> int:
         inst = threesat_to_instance(parse_dimacs(text))
     else:
         inst = qbf_to_instance(parse_qdimacs(text))
+    plant_text = dump_plant(inst.plant)
+    meta = {**inst.decoder_meta, "plant_sha256": _sha256(plant_text)}
+    files = {
+        "plant.json": plant_text,
+        "formula.hltl": print_formula(inst.formula) + "\n",
+        "decoder.json": json.dumps(meta, indent=2, sort_keys=True) + "\n",
+    }
     out_dir = Path(args.out_dir)
-    _write_instance(inst, out_dir, args.kind)
-    report = RunReport(
-        verdict="reduced",
-        exact=True,
-        frame=classify_frame(inst.plant).value,
-        fragment=str(classify_fragment(inst.formula)),
-        witness_path=str(out_dir / f"{args.kind}.plant.json"),
-        elapsed=time.perf_counter() - started,
-    )
-    _emit(report, args.json)
-    return EXIT_OK
+    for suffix, content in files.items():
+        _write(out_dir / f"{args.kind}.{suffix}", content, make_dirs=True)
+    witness = str(out_dir / f"{args.kind}.plant.json")
+    return _report(inst.plant, inst.formula, "reduced", witness=witness), True
 
 
-def cmd_casestudy(args) -> int:
-    started = time.perf_counter()
+def cmd_casestudy(args) -> Outcome:
     if args.config is not None:
         cfg = config_from_dict(json.loads(_read(args.config)))
     else:
         cfg = curated_config()
     plant = build_plant(cfg)
     phi = effectiveness_fairness_formula()
-    cons = consistency_formula()
     if args.strategy == "synthesize":
         objective = combined_objective_formula() if args.with_consistency else phi
-        result = dispatch(plant, objective, max_candidate_bits=args.max_c)
-        report = RunReport(
-            verdict=result.verdict.value,
-            exact=result.exact,
-            frame=classify_frame(plant).value,
-            fragment=str(classify_fragment(objective)),
-            elapsed=time.perf_counter() - started,
-        )
-        _emit(report, args.json)
-        return EXIT_OK if result.realizable else EXIT_NEGATIVE
-    strategy = STRATEGIES[args.strategy]
-    pruned = apply_solution(plant, encode_strategy(plant, strategy))
-    phi_ok = bool(check(pruned, phi))
-    cons_ok = bool(check(pruned, cons))
-    elapsed = time.perf_counter() - started
-    if args.json:
-        print(json.dumps({
-            "strategy": args.strategy,
-            "phi": phi_ok,
-            "consistency": cons_ok,
-            "elapsed": round(elapsed, 6),
-        }, indent=2))
-    else:
-        print(f"phi: {'pass' if phi_ok else 'fail'}")
-        print(f"consistency: {'pass' if cons_ok else 'fail'}")
-        print(f"elapsed: {elapsed:.3f}s")
-    return EXIT_OK if phi_ok else EXIT_NEGATIVE
+        return _synthesize(plant, objective, args.max_c)
+    pruned = apply_solution(plant, encode_strategy(plant, STRATEGIES[args.strategy]))
+    passed = {
+        "phi": check(pruned, phi).holds,
+        "consistency": check(pruned, consistency_formula()).holds,
+    }
+    lines = [f"{name}: {'pass' if ok else 'fail'}" for name, ok in passed.items()]
+    return Report({"strategy": args.strategy, **passed}, lines), passed["phi"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -299,52 +262,50 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--json", action="store_true", help="machine-readable report")
+    # options shared by several commands, declared once
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--json", action="store_true", help="machine-readable report")
+    bounds = argparse.ArgumentParser(add_help=False)
+    bounds.add_argument("--stem-bound", type=int)
+    bounds.add_argument("--loop-bound", type=int)
+    guard = argparse.ArgumentParser(add_help=False)
+    guard.add_argument(
+        "--max-c",
+        type=int,
+        default=DEFAULT_MAX_CANDIDATE_BITS,
+        help="refuse candidate spaces beyond 2^MAX_C (default %(default)s)",
+    )
 
-    p = sub.add_parser("classify", help="classify a plant frame (and a formula)")
+    def command(name, func, help, *parents):
+        p = sub.add_parser(name, help=help, parents=[*parents, report])
+        p.set_defaults(func=func)
+        return p
+
+    p = command("classify", cmd_classify, "classify a plant frame (and a formula)")
     p.add_argument("plant")
     p.add_argument("--formula", help="also classify this formula's fragment")
     p.add_argument("--dot", help="write a DOT dump of the plant")
-    common(p)
-    p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("check", help="model-check plant |= formula")
+    p = command("check", cmd_check, "model-check plant |= formula", bounds)
     p.add_argument("plant")
     p.add_argument("formula")
-    p.add_argument("--stem-bound", type=int)
-    p.add_argument("--loop-bound", type=int)
-    common(p)
-    p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("synth", help="synthesize a controller")
+    p = command("synth", cmd_synth, "synthesize a controller", guard, bounds)
     p.add_argument("plant")
     p.add_argument("formula")
     p.add_argument("--out", help="write the witness (retained edges) here")
-    p.add_argument(
-        "--max-c",
-        type=int,
-        default=24,
-        help="refuse candidate spaces beyond 2^MAX_C (default 24)",
-    )
     p.add_argument(
         "--deterministic",
         action="store_true",
         help="accepted for scripting symmetry; the search is always deterministic",
     )
-    p.add_argument("--stem-bound", type=int)
-    p.add_argument("--loop-bound", type=int)
-    common(p)
-    p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("reduce", help="generate a synthesis instance")
+    p = command("reduce", cmd_reduce, "generate a synthesis instance")
     p.add_argument("kind", choices=("horn", "3sat", "qbf"))
     p.add_argument("input", help="DIMACS (horn, 3sat) or QDIMACS (qbf) file")
     p.add_argument("--out-dir", required=True)
-    common(p)
-    p.set_defaults(func=cmd_reduce)
 
-    p = sub.add_parser("casestudy", help="run the non-repudiation case study")
+    p = command("casestudy", cmd_casestudy, "run the non-repudiation case study", guard)
     p.add_argument("--config", help="protocol config JSON (defaults to curated)")
     p.add_argument(
         "--strategy",
@@ -352,22 +313,21 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("correct", "incorrect", "strange", "synthesize"),
     )
     p.add_argument("--with-consistency", action="store_true")
-    p.add_argument(
-        "--max-c",
-        type=int,
-        default=24,
-        help="candidate-space guard for synthesize (see synth --max-c)",
-    )
-    common(p)
-    p.set_defaults(func=cmd_casestudy)
     return top
 
 
+_parser: Optional[argparse.ArgumentParser] = None  # built by the first main()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
+    started = time.perf_counter()
     try:
         _threads_cap()
-        return args.func(args)
+        report, positive = args.func(args)
     except CandidateSpaceExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
@@ -377,6 +337,18 @@ def main(argv: Optional[list[str]] = None) -> int:
     except json.JSONDecodeError as exc:
         print(f"error: invalid JSON: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    except Exception:
+        print("internal error:", file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_INTERNAL
+    elapsed = time.perf_counter() - started
+    if args.json:
+        print(json.dumps({**report.fields, "elapsed": round(elapsed, 6)}, indent=2))
+    else:
+        print("\n".join([*report.lines, f"elapsed: {elapsed:.3f}s"]))
+    if positive:
+        return EXIT_OK
+    return EXIT_NEGATIVE if report.exact else EXIT_BOUNDED
 
 
 if __name__ == "__main__":

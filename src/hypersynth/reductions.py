@@ -143,15 +143,45 @@ class SynthesisInstance:
 # --- DIMACS / QDIMACS ---------------------------------------------------
 
 
+def _int(tok: str, what: str) -> int:
+    try:
+        return int(tok)
+    except ValueError as exc:
+        raise DimacsError(f"bad {what} token {tok!r}") from exc
+
+
+def _dimacs_lines(text: str) -> tuple[int, int, list[str], bool]:
+    """The problem line's variable and clause counts, the other content
+    lines in order, and whether one of them precedes the problem line.
+    Blank lines and ``c``/``%`` comment lines are skipped."""
+    header: Optional[tuple[int, int]] = None
+    lines: list[str] = []
+    early = False
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line or line[0] in "c%":
+            continue
+        if line[0] == "p":
+            parts = line.split()
+            if len(parts) != 4 or parts[1] != "cnf":
+                raise DimacsError(f"bad problem line: {line!r}")
+            header = (_int(parts[2], "count"), _int(parts[3], "count"))
+            if min(header) < 0:
+                raise DimacsError(f"negative count in problem line: {line!r}")
+            continue
+        early = early or header is None
+        lines.append(line)
+    if header is None:
+        raise DimacsError("missing problem line")
+    return header[0], header[1], lines, early
+
+
 def _parse_clause_tokens(lines: list[str], num_vars: int) -> tuple[tuple[int, ...], ...]:
     clauses: list[tuple[int, ...]] = []
     current: list[int] = []
     for line in lines:
         for tok in line.split():
-            try:
-                lit = int(tok)
-            except ValueError as exc:
-                raise DimacsError(f"bad literal token {tok!r}") from exc
+            lit = _int(tok, "literal")
             if lit == 0:
                 clauses.append(tuple(current))
                 current = []
@@ -165,26 +195,11 @@ def _parse_clause_tokens(lines: list[str], num_vars: int) -> tuple[tuple[int, ..
 
 
 def parse_dimacs(text: str) -> CnfInput:
-    num_vars: Optional[int] = None
-    num_clauses: Optional[int] = None
-    clause_lines: list[str] = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("c") or line.startswith("%"):
-            continue
-        if line.startswith("p"):
-            parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise DimacsError(f"bad problem line: {line!r}")
-            num_vars, num_clauses = int(parts[2]), int(parts[3])
-            continue
-        if num_vars is None:
-            raise DimacsError("clause before problem line")
-        clause_lines.append(line)
-    if num_vars is None:
-        raise DimacsError("missing problem line")
-    clauses = _parse_clause_tokens(clause_lines, num_vars)
-    if num_clauses is not None and len(clauses) != num_clauses:
+    num_vars, num_clauses, lines, early = _dimacs_lines(text)
+    if early:
+        raise DimacsError("clause before problem line")
+    clauses = _parse_clause_tokens(lines, num_vars)
+    if len(clauses) != num_clauses:
         raise DimacsError(
             f"header promises {num_clauses} clauses, found {len(clauses)}"
         )
@@ -192,30 +207,18 @@ def parse_dimacs(text: str) -> CnfInput:
 
 
 def parse_qdimacs(text: str) -> QbfInput:
-    num_vars: Optional[int] = None
+    num_vars, _, lines, _ = _dimacs_lines(text)
     prefix: list[tuple[Quantifier, int]] = []
     clause_lines: list[str] = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("c") or line.startswith("%"):
-            continue
-        if line.startswith("p"):
-            parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise DimacsError(f"bad problem line: {line!r}")
-            num_vars = int(parts[2])
-            continue
+    for line in lines:
         if line[0] in "ea":
             quant = Quantifier.EXISTS if line[0] == "e" else Quantifier.FORALL
             toks = line[1:].split()
             if not toks or toks[-1] != "0":
                 raise DimacsError(f"quantifier line not terminated by 0: {line!r}")
-            for tok in toks[:-1]:
-                prefix.append((quant, int(tok)))
-            continue
-        clause_lines.append(line)
-    if num_vars is None:
-        raise DimacsError("missing problem line")
+            prefix.extend((quant, _int(tok, "variable")) for tok in toks[:-1])
+        else:
+            clause_lines.append(line)
     clauses = _parse_clause_tokens(clause_lines, num_vars)
     declared = {v for _, v in prefix}
     used = {abs(l) for c in clauses for l in c}

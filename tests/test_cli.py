@@ -274,3 +274,97 @@ def test_nested_formula_within_cap_is_decided(fig1_file, tmp_path, capsys):
     f = _formula_file(tmp_path, "forall t. " + "X " * 200 + "b[t]")
     assert main(["check", fig1_file, f]) == 0
     assert main(["synth", fig1_file, f]) == 0
+
+
+def test_main_builds_the_parser_once(fig1_file, monkeypatch, capsys):
+    import hypersynth.cli as cli
+
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "_parser", None, raising=False)
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    assert main(["classify", fig1_file]) == 0
+    assert main(["classify", fig1_file, "--json"]) == 0
+    assert len(built) == 1
+    capsys.readouterr()
+
+
+def test_internal_error_exit_code(fig1_file, tmp_path, monkeypatch, capsys):
+    import hypersynth.cli as cli
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("injected failure")
+
+    monkeypatch.setattr(cli, "check", fail)
+    f = _formula_file(tmp_path, "exists p. F b[p]")
+    assert main(["check", fig1_file, f]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error:\nTraceback")
+    assert "RuntimeError: injected failure" in captured.err
+
+
+def test_interrupt_and_usage_errors_pass_through(fig1_file, tmp_path, monkeypatch, capsys):
+    import hypersynth.cli as cli
+
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    f = _formula_file(tmp_path, "exists p. F b[p]")
+    with pytest.raises(SystemExit) as exc:
+        main(["check", fig1_file, f, "--no-such-option"])
+    assert exc.value.code == 2
+    monkeypatch.setattr(cli, "check", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        main(["check", fig1_file, f])
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "kind,text",
+    [
+        ("3sat", "p cnf x 1\n1 2 3 0\n"),
+        ("qbf", "p cnf 3 1\ne 1 x 0\na 2 0\ne 3 0\n1 -2 3 0\n"),
+        ("horn", "p cnf -1 0\n"),
+    ],
+    ids=["3sat-count", "qbf-quantifier", "horn-negative"],
+)
+def test_reduce_malformed_header_exits_bad_input(tmp_path, capsys, kind, text):
+    source = tmp_path / "in.txt"
+    source.write_text(text)
+    out_dir = tmp_path / "out"
+    assert main(["reduce", kind, str(source), "--out-dir", str(out_dir)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out_dir.exists()
+
+
+def test_non_utf8_plant_exits_bad_input(tmp_path, capsys):
+    plant = tmp_path / "latin1.json"
+    plant.write_bytes(json.dumps(FIG1).replace("sinit", "s\xe9").encode("latin-1"))
+    assert main(["classify", str(plant)]) == 2
+    assert "cannot read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command,below",
+    [
+        ("synth", "missing"),
+        ("synth", "file.txt"),
+        ("classify", "missing"),
+        ("classify", "file.txt"),
+        ("reduce", "file.txt"),  # --out-dir creates missing directories
+    ],
+)
+def test_unwritable_output_exits_bad_input(fig1_file, tmp_path, capsys, command, below):
+    (tmp_path / "file.txt").write_text("a regular file\n")
+    target = str(tmp_path / below / "w.json")
+    realizable = _formula_file(tmp_path, "forall p. forall q. G(a[p] <-> a[q])")
+    cnf = tmp_path / "in.cnf"
+    cnf.write_text("p cnf 3 1\n1 -2 3 0\n")
+    argv = {
+        "synth": ["synth", fig1_file, realizable, "--out", target],
+        "classify": ["classify", fig1_file, "--dot", target],
+        "reduce": ["reduce", "3sat", str(cnf), "--out-dir", target],
+    }[command]
+    assert main(argv) == 2
+    assert "cannot write" in capsys.readouterr().err

@@ -65,6 +65,17 @@ def test_parse_dimacs_errors():
         parse_dimacs("p cnf 2 1\n1 2\n")
     with pytest.raises(DimacsError):
         parse_dimacs("p cnf 2 5\n1 2 0\n")
+    # non-integer or negative problem-line counts, non-integer quantified
+    # variables
+    for read, text in [
+        (parse_dimacs, "p cnf x 1\n1 0\n"),
+        (parse_dimacs, "p cnf -1 0\n"),
+        (parse_qdimacs, "p cnf 2 x\ne 1 0\n"),
+        (parse_qdimacs, "p cnf -2 0\ne 1 0\n"),
+        (parse_qdimacs, "p cnf 1 1\ne 1 x 0\n1 0\n"),
+    ]:
+        with pytest.raises(DimacsError):
+            read(text)
 
 
 def test_parse_qdimacs():
