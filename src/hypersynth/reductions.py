@@ -216,7 +216,11 @@ def parse_qdimacs(text: str) -> QbfInput:
             toks = line[1:].split()
             if not toks or toks[-1] != "0":
                 raise DimacsError(f"quantifier line not terminated by 0: {line!r}")
-            prefix.extend((quant, _int(tok, "variable")) for tok in toks[:-1])
+            for tok in toks[:-1]:
+                var = _int(tok, "variable")
+                if not 0 < var <= num_vars:
+                    raise DimacsError(f"quantified variable {var} outside 1..{num_vars}")
+                prefix.append((quant, var))
         else:
             clause_lines.append(line)
     clauses = _parse_clause_tokens(clause_lines, num_vars)

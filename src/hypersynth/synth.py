@@ -63,6 +63,7 @@ from .plant import (
 )
 from .semantics import (
     DEFAULT_HORIZON,
+    BodyBatch,
     eval_body,
     eval_quantified,
     eval_quantified_witness,
@@ -234,7 +235,6 @@ def synth_generic(
         if bits > max_candidate_bits:
             raise CandidateSpaceExceeded(bits, max_candidate_bits)
 
-    cache: dict = {}
     cores: list[frozenset[Lasso]] = []
     first = True
     for removed in _removals(plant):
@@ -243,11 +243,11 @@ def synth_generic(
         if purely_universal and any(core <= traces for core in cores):
             ok = False
         elif purely_universal:
-            ok, witness = eval_quantified_witness(f, traces, horizon, cache)
+            ok, witness = eval_quantified_witness(f, traces, horizon)
             if not ok and witness is not None:
                 cores.append(frozenset(witness))
         else:
-            ok = eval_quantified(f, traces, horizon, cache)
+            ok = eval_quantified(f, traces, horizon)
         if ok:
             return SynthesisResult(
                 Verdict.REALIZABLE, ControllerSolution(retained), exact
@@ -350,7 +350,8 @@ def synth_tree_exists_forall(
     The tree is then evaluated bottom-up to find the maximal pruning whose
     remaining leaves all satisfy the body; the assignment succeeds when
     the root survives and every existential witness trace is still
-    present.
+    present.  Per assignment, one batch decides the body for every leaf
+    (tuple by tuple, lazily, when the batch does not fit).
     """
     frame = classify_frame(plant)
     if frame is not FrameKind.TREE:
@@ -362,17 +363,26 @@ def synth_tree_exists_forall(
     traces = sort_lassos(set(leaf_trace.values()))
     names = f.variables
     evars, uvar = names[:-1], names[-1]
+    batch = BodyBatch(f, traces, horizon)
+    offset = {t: i * batch.n for i, t in enumerate(traces)}
 
     for witness in product(traces, repeat=len(evars)):
-        base = dict(zip(evars, witness))
-        good_memo: dict[Lasso, bool] = {}
+        if batch.fits:
+            bits = batch(witness)
 
-        def good(tr: Lasso) -> bool:
-            got = good_memo.get(tr)
-            if got is None:
-                got = eval_body(f.body, {**base, uvar: tr}, horizon)
-                good_memo[tr] = got
-            return got
+            def good(tr: Lasso) -> bool:
+                return bool(bits >> offset[tr] & 1)
+
+        else:
+            base = dict(zip(evars, witness))
+            good_memo: dict[Lasso, bool] = {}
+
+            def good(tr: Lasso) -> bool:
+                got = good_memo.get(tr)
+                if got is None:
+                    got = eval_body(f.body, {**base, uvar: tr}, horizon)
+                    good_memo[tr] = got
+                return got
 
         if not all(good(t) for t in set(witness)):
             continue
@@ -413,6 +423,11 @@ def synth_tree_marking(
     leaf_trace = {row.terminal: row.lasso for row in plant.index.paths}
     names = f.variables
     uvar, evars = names[0], names[1:]
+    leaves = sort_lassos(set(leaf_trace.values()))
+    # the last existential runs as one batch over every leaf, its result
+    # kept across rounds and read through the mask of the marked leaves
+    batch = BodyBatch(f, leaves, horizon, {})
+    bit = {t: 1 << i * batch.n for i, t in enumerate(leaves)}
     body_memo: dict[tuple, bool] = {}
 
     def holds(utrace: Lasso, etuple: tuple[Lasso, ...]) -> bool:
@@ -424,15 +439,18 @@ def synth_tree_marking(
             body_memo[key] = got
         return got
 
-    marked = sort_lassos(set(leaf_trace.values()))
+    def supported(t: Lasso, marked: list[Lasso], mask: int) -> bool:
+        if batch.fits:
+            inner = product(marked, repeat=len(evars) - 1)
+            return any(batch((t, *e)) & mask for e in inner)
+        return any(holds(t, e) for e in product(marked, repeat=len(evars)))
+
+    marked = leaves
     while True:
         # marking rounds: greatest set of traces that support each other
         while True:
-            survivors = [
-                t
-                for t in marked
-                if any(holds(t, e) for e in product(marked, repeat=len(evars)))
-            ]
+            mask = sum(bit[t] for t in marked)
+            survivors = [t for t in marked if supported(t, marked, mask)]
             if survivors == marked:
                 break
             marked = survivors

@@ -338,6 +338,16 @@ def test_reduce_malformed_header_exits_bad_input(tmp_path, capsys, kind, text):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("variable", ["-1", "0", "3"])
+def test_reduce_qbf_rejects_quantified_variable_out_of_range(tmp_path, capsys, variable):
+    source = tmp_path / "in.qdimacs"
+    source.write_text(f"p cnf 1 0\ne {variable} 0\n")
+    out_dir = tmp_path / "out"
+    assert main(["reduce", "qbf", str(source), "--out-dir", str(out_dir)]) == 2
+    assert "quantified variable" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_non_utf8_plant_exits_bad_input(tmp_path, capsys):
     plant = tmp_path / "latin1.json"
     plant.write_bytes(json.dumps(FIG1).replace("sinit", "s\xe9").encode("latin-1"))

@@ -66,13 +66,16 @@ def test_parse_dimacs_errors():
     with pytest.raises(DimacsError):
         parse_dimacs("p cnf 2 5\n1 2 0\n")
     # non-integer or negative problem-line counts, non-integer quantified
-    # variables
+    # variables, quantified variables outside 1..num_vars
     for read, text in [
         (parse_dimacs, "p cnf x 1\n1 0\n"),
         (parse_dimacs, "p cnf -1 0\n"),
         (parse_qdimacs, "p cnf 2 x\ne 1 0\n"),
         (parse_qdimacs, "p cnf -2 0\ne 1 0\n"),
         (parse_qdimacs, "p cnf 1 1\ne 1 x 0\n1 0\n"),
+        (parse_qdimacs, "p cnf 2 1\ne 1 0\na 0 2 0\n1 2 0\n"),
+        (parse_qdimacs, "p cnf 2 1\ne 1 -2 0\n1 2 0\n"),
+        (parse_qdimacs, "p cnf 2 1\ne 1 2 3 0\n1 2 0\n"),
     ]:
         with pytest.raises(DimacsError):
             read(text)

@@ -1,5 +1,6 @@
 import copy
 import gc
+import itertools
 import math
 import random
 
@@ -25,8 +26,9 @@ from hypersynth.formula import (
     negate_nnf,
 )
 from hypersynth.parser import MAX_NESTING, parse, parse_body
-from hypersynth.plant import Lasso, Plant
+from hypersynth.plant import Lasso, Plant, sort_lassos
 from hypersynth.semantics import (
+    BodyBatch,
     check,
     eval_body,
     eval_quantified,
@@ -334,6 +336,146 @@ def test_witness_not_reported_for_mixed_prefixes():
     f = parse("exists p. G b[p]")
     holds, witness = eval_quantified_witness(f, traces)
     assert not holds and witness is None
+
+
+# --- batched evaluation ------------------------------------------------------
+
+
+def _random_trace_set(rng: random.Random) -> set[Lasso]:
+    """Random lassos with stems of unequal length, sometimes with the
+    coprime 4/5/7 loops, so the batch's joint period is 140."""
+    traces = {random_lasso(rng) for _ in range(rng.randint(1, 5))}
+    if rng.random() < 0.4:
+        traces.update(_long_loop_assignment(rng).values())
+    return traces
+
+
+def _per_tuple(f: Formula, trace_set, horizon: int = 10**6):
+    """eval_quantified_witness as a plain loop: eval_body on each full
+    tuple, traces in sorted order, the first deciding tuple wins."""
+    traces = sort_lassos(trace_set)
+
+    def rec(chosen):
+        depth = len(chosen)
+        if depth == len(f.prefix):
+            ok = eval_body(f.body, dict(zip(f.variables, chosen)), horizon)
+            return ok, None if ok else chosen
+        exists = f.prefix[depth][0] is E
+        for t in traces:
+            ok, witness = rec(chosen + (t,))
+            if ok is exists:
+                return ok, witness
+        return not exists, None
+
+    holds, witness = rec(())
+    universal = all(q is A for q, _ in f.prefix)
+    return holds, witness if universal and not holds else None
+
+
+def _outcome(call):
+    try:
+        return call()
+    except HorizonExceeded as exc:
+        return ("HorizonExceeded", exc.args)
+
+
+def test_batch_bits_match_eval_body_per_tuple():
+    rng = random.Random(84)
+    names = ("p", "q", "r")
+    for _ in range(150):
+        k = rng.randint(1, 3)
+        body = random_body(rng, names[:k], budget=rng.randint(1, 8))
+        if rng.random() < 0.3:
+            body = negate_nnf(desugar(body))  # Release nodes
+        f = Formula(tuple((A, v) for v in names[:k]), body)
+        traces = sort_lassos(_random_trace_set(rng))
+        batch = BodyBatch(f, traces, 10**9)
+        assert batch.fits
+        for _ in range(3):
+            prefix = tuple(rng.choice(traces) for _ in range(k - 1))
+            bits = batch(prefix)
+            assert bits & ~batch.rep == 0
+            for i, t in enumerate(traces):
+                expected = eval_body(body, dict(zip(names, prefix + (t,))))
+                assert bool(bits >> i * batch.n & 1) is expected
+
+
+def test_quantified_witness_matches_per_tuple_loop():
+    rng = random.Random(85)
+    for _ in range(300):
+        quants = tuple(rng.choice((E, A)) for _ in range(rng.randint(1, 3)))
+        names = tuple(f"t{i}" for i in range(len(quants)))
+        f = Formula(tuple(zip(quants, names)), random_body(rng, names, budget=6))
+        traces = _random_trace_set(rng)
+        assert eval_quantified_witness(f, traces) == _per_tuple(f, traces)
+
+
+def test_horizon_guard_is_per_tuple_for_batches():
+    # a batch runs only when all of it fits the horizon; otherwise the
+    # tuples run one by one, so the guard trips exactly where eval_body's
+    # would, and not at all when no tuple reaches the horizon
+    rng = random.Random(86)
+    tripped = 0
+    for _ in range(150):
+        quants = tuple(rng.choice((E, A)) for _ in range(rng.randint(1, 3)))
+        names = tuple(f"t{i}" for i in range(len(quants)))
+        body = random_body(rng, names, budget=5)
+        if rng.random() < 0.5:
+            # a tautology under universals visits every tuple
+            quants = (A,) * len(quants)
+            body = Or(body, Not(body))
+        f = Formula(tuple(zip(quants, names)), body)
+        traces = _random_trace_set(rng)
+        widest = max(
+            _joint_length(dict(zip(names, chosen)))
+            for chosen in itertools.product(traces, repeat=len(names))
+        ) * f.body.program.size
+        for horizon in (widest, widest - 1, rng.randint(1, widest)):
+            got = _outcome(lambda: eval_quantified_witness(f, traces, horizon))
+            assert got == _outcome(lambda: _per_tuple(f, traces, horizon))
+        assert eval_quantified(f, traces, widest) == eval_quantified(f, traces)
+        if quants == (A,) * len(quants) and isinstance(body, Or):
+            with pytest.raises(HorizonExceeded):
+                eval_quantified(f, traces, widest - 1)
+            tripped += 1
+    assert tripped > 30
+
+
+def test_wide_joint_periods_run_tuple_by_tuple():
+    # loops 5, 7, 8 and 9 make P* = 2520, 280 times the longest loop: the
+    # batch is refused and the tuples run one by one, with the same answer
+    rng = random.Random(87)
+    traces = {
+        Lasso(
+            tuple(random_letter(rng) for _ in range(rng.randint(0, 2))),
+            tuple(random_letter(rng) for _ in range(k)),
+        )
+        for k in (5, 7, 8, 9)
+    }
+    for _ in range(20):
+        f = Formula(((A, "p"), (E, "q")), random_body(rng, ("p", "q"), budget=5))
+        assert not BodyBatch(f, sort_lassos(traces), 10**9).fits
+        assert eval_quantified_witness(f, traces) == _per_tuple(f, traces)
+    f = Formula(((A, "p"), (E, "q")), random_body(rng, ("p", "q"), budget=5))
+    assert BodyBatch(f, sort_lassos(_long_loop_assignment(rng).values()), 10**9).fits
+
+
+def test_shared_cache_is_keyed_by_trace_set():
+    # the innermost batch's result depends on the whole trace list, and a
+    # one-variable formula has the empty prefix in every set
+    a, b = Lasso((), (letter("a"),)), Lasso((letter("a"),), (letter("b"),))
+    cache: dict = {}
+    f = parse("forall p. G a[p]")
+    assert eval_quantified(f, {a}, cache=cache)
+    assert eval_quantified_witness(f, {a, b}, cache=cache) == (False, (b,))
+    assert eval_quantified(f, {a}, cache=cache)
+    # the same outer trace, so the same prefix (a,), in both sets
+    g = parse("forall p. exists q. F b[q] & (a[p] | a[q])")
+    shared: dict = {}
+    assert not eval_quantified(g, {a}, cache=shared)
+    assert eval_quantified(g, {a, b}, cache=shared)
+    assert not eval_quantified(g, {a}, cache=shared)
+    assert len(shared) == 2
 
 
 # --- check -------------------------------------------------------------------

@@ -12,7 +12,9 @@ from hypersynth.formula import Formula, Quantifier, TrueBool
 from hypersynth.parser import parse
 from hypersynth.plant import FrameKind, Plant, classify_frame, enumerate_traces
 from hypersynth.reductions import decode_assignment, parse_dimacs, threesat_to_instance
-from hypersynth.semantics import check, eval_quantified
+import hypersynth.semantics
+import hypersynth.synth
+from hypersynth.semantics import BodyBatch, check, eval_quantified
 from hypersynth.synth import (
     ControllerSolution,
     Verdict,
@@ -174,6 +176,23 @@ def test_marking_trivial_body_keeps_everything():
     assert result.solution.retained == plant.c_edges
 
 
+def test_marking_unmarks_in_cascade():
+    # l1 needs l2 as witness, l2 needs l3, and l3 has none: each round
+    # unmarks one more leaf, so no leaf survives
+    plant = Plant(
+        {"r", "l1", "l2", "l3"},
+        "r",
+        {("r", "l1"), ("r", "l2"), ("r", "l3")},
+        {("l1", "l1"), ("l2", "l2"), ("l3", "l3")},
+        {"l1": {"p"}, "l2": {"q"}, "l3": {"s"}},
+    )
+    f = parse("forall u. exists e. G(p[u] -> q[e]) & G(q[u] -> s[e]) & G(s[u] -> t[e])")
+    assert synth_tree_marking(plant, f).verdict is Verdict.UNREALIZABLE
+    g = parse("forall u. exists e. G(p[u] -> q[e]) & G(q[u] -> s[e]) & G(s[u] -> s[e])")
+    result = synth_tree_marking(plant, g)
+    assert result.realizable and result.solution.retained == plant.c_edges
+
+
 def test_exists_forall_agrees_with_generic():
     rng = random.Random(25)
     for _ in range(120):
@@ -221,6 +240,31 @@ def test_dispatch_sound_on_realizable():
         if result.realizable:
             pruned = apply_solution(plant, result.solution)
             assert check(pruned, f).holds
+
+
+class _Unbatched(BodyBatch):
+    """A batch that never fits, so every caller evaluates tuple by tuple."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.fits = False
+
+
+def test_batched_routes_match_per_tuple_routes(monkeypatch):
+    # every route (generic, E*A, AE*) on trees and DAGs gives the same
+    # verdict and witness with and without the innermost batch
+    rng = random.Random(29)
+    cases = []
+    for i in range(150):
+        grow = random_tree_plant if i % 2 else random_acyclic_plant
+        plant = grow(rng, max_states=8, max_c_edges=6)
+        quants = rng.choice(((E, A), (E, E, A), (A, E), (A, E, E), (A, A), (A, E, A)))
+        cases.append((plant, random_prefix_formula(rng, quants, budget=5)))
+    batched = [dispatch(plant, f) for plant, f in cases]
+    for module in (hypersynth.semantics, hypersynth.synth):
+        monkeypatch.setattr(module, "BodyBatch", _Unbatched)
+    assert [dispatch(plant, f) for plant, f in cases] == batched
+    assert any(r.realizable for r in batched) and not all(r.realizable for r in batched)
 
 
 def test_generic_search_depth_follows_choices_not_states():
