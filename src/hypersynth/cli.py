@@ -9,7 +9,7 @@ the exit code, a total function of the outcome:
   1  negative and exact: not satisfied, unrealizable, phi fails
   2  malformed input: plant, formula, DIMACS/QDIMACS, config, JSON,
      options or bounds; a file that cannot be read or is not UTF-8; an
-     output path that cannot be written
+     output path or stdout that cannot be written
   3  negative at the explored bound (bounded-unknown, general frames only)
   4  candidate-space guard tripped (raise --max-c to search anyway)
   5  internal error: any other exception; stderr gets the traceback
@@ -22,6 +22,7 @@ which always respects the cap.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -114,6 +115,19 @@ def _write(path: Path, text: str, make_dirs: bool = False) -> None:
         path.write_text(text)
     except (OSError, UnicodeError) as exc:
         raise HypersynthError(f"cannot write {path}: {exc}") from exc
+
+
+def _print(text: str) -> None:
+    """Write the report.  A stdout that refuses it (a full device, a closed
+    pipe) is an unwritable output; what it did not take goes to the null
+    device, or the flush at exit would fail again and exit with 120."""
+    try:
+        sys.stdout.write(text + "\n")
+        sys.stdout.flush()
+    except OSError as exc:
+        with open(os.devnull, "w") as null, contextlib.suppress(AttributeError, OSError):
+            os.dup2(null.fileno(), sys.stdout.fileno())
+        raise HypersynthError(f"cannot write stdout: {exc}") from exc
 
 
 def _load_plant(path: str) -> Plant:
@@ -328,6 +342,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         _threads_cap()
         report, positive = args.func(args)
+        elapsed = time.perf_counter() - started
+        if args.json:
+            _print(json.dumps({**report.fields, "elapsed": round(elapsed, 6)}, indent=2))
+        else:
+            _print("\n".join([*report.lines, f"elapsed: {elapsed:.3f}s"]))
     except CandidateSpaceExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
@@ -341,11 +360,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         print("internal error:", file=sys.stderr)
         traceback.print_exc()
         return EXIT_INTERNAL
-    elapsed = time.perf_counter() - started
-    if args.json:
-        print(json.dumps({**report.fields, "elapsed": round(elapsed, 6)}, indent=2))
-    else:
-        print("\n".join([*report.lines, f"elapsed: {elapsed:.3f}s"]))
     if positive:
         return EXIT_OK
     return EXIT_NEGATIVE if report.exact else EXIT_BOUNDED

@@ -150,18 +150,20 @@ def _int(tok: str, what: str) -> int:
         raise DimacsError(f"bad {what} token {tok!r}") from exc
 
 
-def _dimacs_lines(text: str) -> tuple[int, int, list[str], bool]:
-    """The problem line's variable and clause counts, the other content
-    lines in order, and whether one of them precedes the problem line.
-    Blank lines and ``c``/``%`` comment lines are skipped."""
+def _dimacs_lines(text: str) -> tuple[int, int, list[str]]:
+    """The problem line's variable and clause counts and the other content
+    lines in order.  Blank lines and ``c``/``%`` comment lines are
+    skipped; content before the problem line and a second problem line
+    are errors."""
     header: Optional[tuple[int, int]] = None
     lines: list[str] = []
-    early = False
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line[0] in "c%":
             continue
         if line[0] == "p":
+            if header is not None:
+                raise DimacsError(f"second problem line: {line!r}")
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise DimacsError(f"bad problem line: {line!r}")
@@ -169,14 +171,15 @@ def _dimacs_lines(text: str) -> tuple[int, int, list[str], bool]:
             if min(header) < 0:
                 raise DimacsError(f"negative count in problem line: {line!r}")
             continue
-        early = early or header is None
+        if header is None:
+            raise DimacsError(f"{line!r} before problem line")
         lines.append(line)
     if header is None:
         raise DimacsError("missing problem line")
-    return header[0], header[1], lines, early
+    return header[0], header[1], lines
 
 
-def _parse_clause_tokens(lines: list[str], num_vars: int) -> tuple[tuple[int, ...], ...]:
+def _clauses(lines: list[str], num_vars: int, count: int) -> tuple[tuple[int, ...], ...]:
     clauses: list[tuple[int, ...]] = []
     current: list[int] = []
     for line in lines:
@@ -191,39 +194,36 @@ def _parse_clause_tokens(lines: list[str], num_vars: int) -> tuple[tuple[int, ..
                 current.append(lit)
     if current:
         raise DimacsError("last clause not terminated by 0")
+    if len(clauses) != count:
+        raise DimacsError(f"header promises {count} clauses, found {len(clauses)}")
     return tuple(clauses)
 
 
 def parse_dimacs(text: str) -> CnfInput:
-    num_vars, num_clauses, lines, early = _dimacs_lines(text)
-    if early:
-        raise DimacsError("clause before problem line")
-    clauses = _parse_clause_tokens(lines, num_vars)
-    if len(clauses) != num_clauses:
-        raise DimacsError(
-            f"header promises {num_clauses} clauses, found {len(clauses)}"
-        )
-    return CnfInput(num_vars, clauses)
+    num_vars, num_clauses, lines = _dimacs_lines(text)
+    return CnfInput(num_vars, _clauses(lines, num_vars, num_clauses))
 
 
 def parse_qdimacs(text: str) -> QbfInput:
-    num_vars, _, lines, _ = _dimacs_lines(text)
+    num_vars, num_clauses, lines = _dimacs_lines(text)
     prefix: list[tuple[Quantifier, int]] = []
     clause_lines: list[str] = []
     for line in lines:
-        if line[0] in "ea":
-            quant = Quantifier.EXISTS if line[0] == "e" else Quantifier.FORALL
-            toks = line[1:].split()
-            if not toks or toks[-1] != "0":
-                raise DimacsError(f"quantifier line not terminated by 0: {line!r}")
-            for tok in toks[:-1]:
-                var = _int(tok, "variable")
-                if not 0 < var <= num_vars:
-                    raise DimacsError(f"quantified variable {var} outside 1..{num_vars}")
-                prefix.append((quant, var))
-        else:
+        if line[0] not in "ea":
             clause_lines.append(line)
-    clauses = _parse_clause_tokens(clause_lines, num_vars)
+            continue
+        if clause_lines:
+            raise DimacsError(f"quantifier line after a clause: {line!r}")
+        quant = Quantifier.EXISTS if line[0] == "e" else Quantifier.FORALL
+        toks = line[1:].split()
+        if not toks or toks[-1] != "0":
+            raise DimacsError(f"quantifier line not terminated by 0: {line!r}")
+        for tok in toks[:-1]:
+            var = _int(tok, "variable")
+            if not 0 < var <= num_vars:
+                raise DimacsError(f"quantified variable {var} outside 1..{num_vars}")
+            prefix.append((quant, var))
+    clauses = _clauses(clause_lines, num_vars, num_clauses)
     declared = {v for _, v in prefix}
     used = {abs(l) for c in clauses for l in c}
     if not used <= declared:

@@ -14,22 +14,19 @@ that wraps bit S* into bit n-1, Eventually/Globally are closed forms
 ``r | (l & X v)`` up to the least and ``r & (l | X v)`` down to the
 greatest fixed point, at most n rounds on whole ints.
 
-The same loop runs a batch (:class:`BodyBatch`): the innermost
-quantifier's T traces side by side in one int, one block of n bits per
-trace, with (S*, P*) the joint shape of the whole trace list, so one body
-pass decides a tuple prefix for all T traces.  The batched variable's
-atoms are the traces' masks concatenated; a fixed variable's atom is its
-mask times the repunit ``rep`` (bit 0 of every block).  Boolean
-connectives are unchanged; X is ``((v >> 1) & keep) | ((v << n-1-S*) &
-wrap)``, where ``wrap`` is the top bit of every block and ``keep`` the
-other bits, so no bit crosses a block boundary; F and G fill each block
-towards bit 0 in log n shift steps and set the loop of every block whose
-loop has a bit; U and R iterate as above.  ``root & rep`` holds one bit
-per trace: A is all set, E is any set, and the falsifying trace is the
-lowest clear block.  A batch runs only when T * n * size is within the
-horizon, so HorizonExceeded is raised for the same inputs and at the same
-tuple as tuple by tuple, and only when P* is at most 64 times the longest
-loop; otherwise the tuples run one by one.  eval_body is the T = 1 case.
+The same loop runs a batch (:class:`BodyBatch`), the one evaluator of the
+innermost quantifier: the T traces of a list side by side in one int, one
+block of n bits per trace, with (S*, P*) the joint shape of the whole
+list, so one body pass decides a tuple prefix for all T traces.  The
+batched variable's atoms are the traces' masks concatenated; a fixed
+variable's atom is its mask times the repunit ``rep`` (bit 0 of every
+block).  Boolean connectives are unchanged; X is ``((v >> 1) & keep) |
+((v << n-1-S*) & wrap)``, where ``wrap`` is the top bit of every block and
+``keep`` the other bits, so no bit crosses a block boundary; F and G fill
+each block towards bit 0 in log n shift steps and set the loop of every
+block whose loop has a bit; U and R iterate as above.  ``root & rep``
+holds one bit per trace.  The batch itself decides whether the whole list
+fits, and otherwise runs eval_body, the T = 1 case, tuple by tuple.
 
 Model checking a plant reduces to quantifier enumeration over its trace
 set: exact for tree/acyclic frames, bounded (and flagged as such) for
@@ -39,8 +36,9 @@ general frames.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import lcm
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from .errors import HorizonExceeded, UnboundVariable
 from .formula import (
@@ -70,6 +68,7 @@ from .plant import (
 )
 
 TraceAssignment = Mapping[str, Lasso]
+Prefix = tuple[Lasso, ...]
 
 DEFAULT_HORIZON = 10**6
 
@@ -207,23 +206,22 @@ _MAX_PERIOD_STRETCH = 64
 
 
 class BodyBatch:
-    """The body of a formula evaluated at once for every trace of a sorted
-    list bound to its last variable, the other variables fixed by a prefix
-    tuple in prefix order.
+    """The innermost quantifier of a formula over a sorted trace list: the
+    body's verdict for each trace of the list bound to the last variable,
+    the other variables fixed by a prefix tuple in prefix order.
 
-    Each trace gets a block of n = S*+P* bits, (S*, P*) the joint shape of
-    the whole list (unrolling a lasso keeps its truth at position 0, so
-    one shape serves every tuple); block i holds trace i.  The batched
-    atoms are the traces' masks concatenated, built once per proposition
-    list; a fixed atom is its mask times the repunit.  A call returns the
-    root's bit 0 of every block; a `memo` dict, when given, keeps the
-    results by prefix (they depend on the whole list).
+    When the whole list fits (``fits``: it is nonempty, len(traces) * n *
+    size is within the horizon, and P* is at most _MAX_PERIOD_STRETCH times
+    the longest loop), one pass answers for every trace of a prefix: block
+    i of n = S*+P* bits holds trace i, (S*, P*) the joint shape of the
+    whole list (unrolling a lasso keeps its truth at position 0, so one
+    shape serves every tuple).  Otherwise eval_body answers one tuple at a
+    time, lazily and in list order, so HorizonExceeded is raised for the
+    same inputs and at the same tuple as by a loop over eval_body: a list
+    that fits has no tuple whose own n * size exceeds the horizon.
 
-    ``fits`` says whether the list is nonempty, len(traces) * n * size is
-    within the horizon, and P* is at most _MAX_PERIOD_STRETCH times the
-    longest loop.  Callers run a batch only then and otherwise evaluate
-    tuple by tuple, so HorizonExceeded is raised exactly where eval_body
-    raises it: each tuple's own n is at most the batch's.
+    A `memo` dict, when given, keeps the answers for callers that ask
+    again: the bits of the whole list by prefix, or a verdict by tuple.
     """
 
     def __init__(
@@ -233,9 +231,11 @@ class BodyBatch:
         horizon: int,
         memo: Optional[dict] = None,
     ):
+        self.f = f
         self.atoms, self.code, size = f.body.program
         *self.names, self.var = f.variables
         self.traces = traces
+        self.horizon = horizon
         self.s, p = _joint_shape(traces)
         self.n = n = self.s + p
         longest = max((len(t.loop) for t in traces), default=1)
@@ -248,10 +248,52 @@ class BodyBatch:
         self.memo = memo
         self._stacked: dict[tuple[str, ...], list[int]] = {}
 
-    def __call__(self, prefix: tuple[Lasso, ...]) -> int:
+    @cached_property
+    def position(self) -> dict[Lasso, int]:
+        return {t: i for i, t in enumerate(self.traces)}
+
+    def first(self, prefix: Prefix, value: bool, among=None) -> Optional[int]:
+        """The lowest list index of a trace whose verdict after prefix is
+        value, searched among a :meth:`subset` when one is given; None when
+        there is none."""
+        if self.fits:
+            bits = self._bits(prefix)
+            hits = bits if value else self.rep ^ bits
+            if among is not None:
+                hits &= among
+            return ((hits & -hits).bit_length() - 1) // self.n if hits else None
+        for i in range(len(self.traces)) if among is None else among:
+            if self._verdict(prefix, i) is value:
+                return i
+        return None
+
+    def holds(self, prefix: Prefix, trace: Lasso) -> bool:
+        """The verdict of one trace of the list after prefix."""
+        i = self.position[trace]
+        if self.fits:
+            return bool(self._bits(prefix) >> i * self.n & 1)
+        return self._verdict(prefix, i)
+
+    def subset(self, members: Iterable[Lasso]):
+        """Traces of the list, as the `among` of :meth:`first`."""
+        at = sorted(self.position[t] for t in members)
+        return sum(1 << i * self.n for i in at) if self.fits else at
+
+    def _verdict(self, prefix: Prefix, i: int) -> bool:
+        chosen = prefix + (self.traces[i],)
+        got = None if self.memo is None else self.memo.get(chosen)
+        if got is None:
+            got = eval_body(self.f.body, dict(zip(self.f.variables, chosen)), self.horizon)
+            if self.memo is not None:
+                self.memo[chosen] = got
+        return got
+
+    def _bits(self, prefix: Prefix) -> int:
+        """Bit 0 of every block: the verdicts of the whole list."""
         memo = self.memo
-        if memo is not None and prefix in memo:
-            return memo[prefix]
+        bits = None if memo is None else memo.get(prefix)
+        if bits is not None:
+            return bits
         n, rep = self.n, self.rep
         fixed = dict(zip(self.names, prefix))
         vals: list[int] = []
@@ -281,11 +323,6 @@ class BodyBatch:
             self._stacked[props] = got
         return got
 
-    def first_clear(self, bits: int) -> Lasso:
-        """The first trace whose block has its bit clear in bits."""
-        missed = self.rep ^ bits
-        return self.traces[((missed & -missed).bit_length() - 1) // self.n]
-
 
 def eval_quantified(
     f: Formula,
@@ -313,65 +350,41 @@ def eval_quantified_witness(
     verdict also returns the falsifying assignment tuple (in prefix order);
     any trace superset containing that tuple fails as well.
 
-    The innermost quantifier runs as one :class:`BodyBatch` per tuple of
-    outer traces when the batch fits, and tuple by tuple otherwise; both
-    give the same verdict and witness."""
-    traces = sort_lassos(trace_set)
-    names = f.variables
-    universal = all(q is Quantifier.FORALL for q, _ in f.prefix)
-    memo = {} if cache is None else cache.setdefault(frozenset(trace_set), {})
-    batch = BodyBatch(f, traces, horizon, memo) if names else None
-    if batch is not None and not batch.fits:
-        batch = None
-
-    def base(chosen: tuple[Lasso, ...]) -> bool:
-        result = memo.get(chosen)
-        if result is None:
-            result = memo[chosen] = eval_body(f.body, dict(zip(names, chosen)), horizon)
-        return result
-
+    The innermost quantifier is one :class:`BodyBatch` query per tuple of
+    outer traces."""
     quants = tuple(q for q, _ in f.prefix)
-    holds, witness = _enumerate(quants, traces, base, batch, ())
-    if holds or not universal:
+    if not quants:
+        holds = eval_body(f.body, {}, horizon)
+        return holds, None if holds else ()
+    memo = None if cache is None else cache.setdefault(frozenset(trace_set), {})
+    batch = BodyBatch(f, sort_lassos(trace_set), horizon, memo)
+    holds, witness = _enumerate(quants, batch, ())
+    if holds or not all(q is Quantifier.FORALL for q in quants):
         return holds, None
     return False, witness
 
 
 def _enumerate(
     quants: tuple[Quantifier, ...],
-    traces: list[Lasso],
-    base: Callable[[tuple[Lasso, ...]], bool],
-    batch: Optional[BodyBatch],
+    batch: BodyBatch,
     chosen: tuple[Lasso, ...],
 ) -> tuple[bool, Optional[tuple[Lasso, ...]]]:
     """Truth of the quantifiers after the chosen traces, and the first
     falsifying full tuple when it fails under universal choices only.  The
-    last quantifier is one batch when there is one, else a loop over base.
-    A module function rather than a recursive closure, which would be a
-    reference cycle left to the cyclic collector on every call."""
-    depth = len(chosen)
-    if depth == len(quants):
-        ok = base(chosen)
-        return ok, (None if ok else chosen)
-    exists = quants[depth] is Quantifier.EXISTS
-    if batch is not None and depth == len(quants) - 1:
-        bits = batch(chosen)
-        if exists:
-            return bits != 0, None
-        if bits == batch.rep:
-            return True, None
-        return False, chosen + (batch.first_clear(bits),)
-    if exists:
-        for t in traces:
-            ok, _ = _enumerate(quants, traces, base, batch, chosen + (t,))
-            if ok:
-                return True, None
-        return False, None
-    for t in traces:
-        ok, witness = _enumerate(quants, traces, base, batch, chosen + (t,))
-        if not ok:
-            return False, witness
-    return True, None
+    last quantifier is one batch query for the first trace that decides
+    it.  A module function rather than a recursive closure, which would be
+    a reference cycle left to the cyclic collector on every call."""
+    exists = quants[len(chosen)] is Quantifier.EXISTS
+    if len(chosen) == len(quants) - 1:
+        i = batch.first(chosen, exists)
+        if i is None:
+            return not exists, None
+        return exists, None if exists else chosen + (batch.traces[i],)
+    for t in batch.traces:
+        ok, witness = _enumerate(quants, batch, chosen + (t,))
+        if ok is exists:
+            return ok, witness
+    return not exists, None
 
 
 @dataclass(frozen=True)

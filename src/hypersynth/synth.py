@@ -64,7 +64,6 @@ from .plant import (
 from .semantics import (
     DEFAULT_HORIZON,
     BodyBatch,
-    eval_body,
     eval_quantified,
     eval_quantified_witness,
 )
@@ -350,8 +349,9 @@ def synth_tree_exists_forall(
     The tree is then evaluated bottom-up to find the maximal pruning whose
     remaining leaves all satisfy the body; the assignment succeeds when
     the root survives and every existential witness trace is still
-    present.  Per assignment, one batch decides the body for every leaf
-    (tuple by tuple, lazily, when the batch does not fit).
+    present.  The body's verdict for each leaf comes from one
+    :class:`BodyBatch` over the leaf traces, kept for the current
+    assignment only.
     """
     frame = classify_frame(plant)
     if frame is not FrameKind.TREE:
@@ -361,32 +361,14 @@ def synth_tree_exists_forall(
         raise FragmentMismatch("E*A", str(fragment))
     leaf_trace = {row.terminal: row.lasso for row in plant.index.paths}
     traces = sort_lassos(set(leaf_trace.values()))
-    names = f.variables
-    evars, uvar = names[:-1], names[-1]
-    batch = BodyBatch(f, traces, horizon)
-    offset = {t: i * batch.n for i, t in enumerate(traces)}
+    memo: dict = {}  # the current witness's answers, which every leaf reads
+    batch = BodyBatch(f, traces, horizon, memo)
 
-    for witness in product(traces, repeat=len(evars)):
-        if batch.fits:
-            bits = batch(witness)
-
-            def good(tr: Lasso) -> bool:
-                return bool(bits >> offset[tr] & 1)
-
-        else:
-            base = dict(zip(evars, witness))
-            good_memo: dict[Lasso, bool] = {}
-
-            def good(tr: Lasso) -> bool:
-                got = good_memo.get(tr)
-                if got is None:
-                    got = eval_body(f.body, {**base, uvar: tr}, horizon)
-                    good_memo[tr] = got
-                return got
-
-        if not all(good(t) for t in set(witness)):
+    for witness in product(traces, repeat=len(f.variables) - 1):
+        memo.clear()
+        if not all(batch.holds(witness, t) for t in set(witness)):
             continue
-        keepable = _Keepable(plant, lambda s: good(leaf_trace[s]))
+        keepable = _Keepable(plant, lambda s: batch.holds(witness, leaf_trace[s]))
         if not keepable(plant.init):
             continue
         kept = _kept_states(plant, keepable)
@@ -421,36 +403,21 @@ def synth_tree_marking(
     if fragment.kind is not FragmentKind.A_E_STAR:
         raise FragmentMismatch("AE*", str(fragment))
     leaf_trace = {row.terminal: row.lasso for row in plant.index.paths}
-    names = f.variables
-    uvar, evars = names[0], names[1:]
     leaves = sort_lassos(set(leaf_trace.values()))
-    # the last existential runs as one batch over every leaf, its result
-    # kept across rounds and read through the mask of the marked leaves
+    # the last existential is one batch query over the marked leaves, its
+    # answers kept across rounds
     batch = BodyBatch(f, leaves, horizon, {})
-    bit = {t: 1 << i * batch.n for i, t in enumerate(leaves)}
-    body_memo: dict[tuple, bool] = {}
 
-    def holds(utrace: Lasso, etuple: tuple[Lasso, ...]) -> bool:
-        key = (utrace, etuple)
-        got = body_memo.get(key)
-        if got is None:
-            asg = {uvar: utrace, **dict(zip(evars, etuple))}
-            got = eval_body(f.body, asg, horizon)
-            body_memo[key] = got
-        return got
-
-    def supported(t: Lasso, marked: list[Lasso], mask: int) -> bool:
-        if batch.fits:
-            inner = product(marked, repeat=len(evars) - 1)
-            return any(batch((t, *e)) & mask for e in inner)
-        return any(holds(t, e) for e in product(marked, repeat=len(evars)))
+    def supported(t: Lasso, marked: list[Lasso], among) -> bool:
+        inner = product(marked, repeat=len(f.variables) - 2)
+        return any(batch.first((t, *e), True, among) is not None for e in inner)
 
     marked = leaves
     while True:
         # marking rounds: greatest set of traces that support each other
         while True:
-            mask = sum(bit[t] for t in marked)
-            survivors = [t for t in marked if supported(t, marked, mask)]
+            among = batch.subset(marked)
+            survivors = [t for t in marked if supported(t, marked, among)]
             if survivors == marked:
                 break
             marked = survivors

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hypersynth
 from hypersynth.cli import main
 from hypersynth.plant import dump_plant, load_plant
 from hypersynth.reductions import parse_dimacs, threesat_to_instance
@@ -378,3 +383,54 @@ def test_unwritable_output_exits_bad_input(fig1_file, tmp_path, capsys, command,
     }[command]
     assert main(argv) == 2
     assert "cannot write" in capsys.readouterr().err
+
+
+class _RefusingStdout:
+    """A stdout whose every write fails as a full device or a closed pipe
+    would make it fail."""
+
+    def __init__(self, error: OSError):
+        self.error = error
+
+    def write(self, text):
+        raise self.error
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize(
+    "error",
+    [OSError(28, "No space left on device"), BrokenPipeError(32, "Broken pipe")],
+    ids=["full", "pipe"],
+)
+def test_unwritable_stdout_exits_bad_input(fig1_file, tmp_path, monkeypatch, capsys, error):
+    # a positive outcome whose report cannot be written is not a positive
+    # exit, nor the exit 1 of an exact negative
+    sat = _formula_file(tmp_path, "exists p. F b[p]")
+    monkeypatch.setattr(sys, "stdout", _RefusingStdout(error))
+    assert main(["check", fig1_file, sat]) == 2
+    assert main(["check", fig1_file, sat, "--json"]) == 2
+    monkeypatch.undo()
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: cannot write stdout: {error}"] * 2
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_stdout_exits_bad_input_from_a_process(fig1_file, tmp_path):
+    # with a buffered stdout the unwritten report must not fail again at
+    # interpreter exit, which would make the exit code 120
+    sat = _formula_file(tmp_path, "exists p. F b[p]")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(hypersynth.__file__).parents[1])
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(
+            [sys.executable, "-m", "hypersynth.cli", "check", fig1_file, sat],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            env=env,
+            text=True,
+            timeout=60,
+        )
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: cannot write stdout")

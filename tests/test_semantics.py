@@ -380,8 +380,13 @@ def _outcome(call):
 
 
 def test_batch_bits_match_eval_body_per_tuple():
+    # both queries, over the whole list and over a subset, against
+    # eval_body on each tuple: once with the whole list in one batch, and
+    # once with a horizon that admits the widest tuple but not the whole
+    # list, so the batch answers tuple by tuple
     rng = random.Random(84)
     names = ("p", "q", "r")
+    by_tuple = 0
     for _ in range(150):
         k = rng.randint(1, 3)
         body = random_body(rng, names[:k], budget=rng.randint(1, 8))
@@ -389,15 +394,34 @@ def test_batch_bits_match_eval_body_per_tuple():
             body = negate_nnf(desugar(body))  # Release nodes
         f = Formula(tuple((A, v) for v in names[:k]), body)
         traces = sort_lassos(_random_trace_set(rng))
-        batch = BodyBatch(f, traces, 10**9)
-        assert batch.fits
-        for _ in range(3):
-            prefix = tuple(rng.choice(traces) for _ in range(k - 1))
-            bits = batch(prefix)
-            assert bits & ~batch.rep == 0
-            for i, t in enumerate(traces):
-                expected = eval_body(body, dict(zip(names, prefix + (t,))))
-                assert bool(bits >> i * batch.n & 1) is expected
+        widest = max(
+            _joint_length(dict(zip(names, chosen)))
+            for chosen in itertools.product(traces, repeat=k)
+        ) * f.body.program.size
+        for horizon in (10**9, widest):
+            memo = {} if rng.random() < 0.5 else None
+            batch = BodyBatch(f, traces, horizon, memo)
+            if horizon == widest:
+                if batch.fits:
+                    continue  # one trace, or no tuple narrower than the list
+                by_tuple += 1
+            else:
+                assert batch.fits
+            for _ in range(3):
+                prefix = tuple(rng.choice(traces) for _ in range(k - 1))
+                expected = [
+                    eval_body(body, dict(zip(names, prefix + (t,)))) for t in traces
+                ]
+                members = rng.sample(traces, rng.randint(0, len(traces)))
+                among = batch.subset(members)
+                picked = sorted(traces.index(t) for t in members)
+                for value in (True, False):
+                    hits = [i for i, v in enumerate(expected) if v is value]
+                    assert batch.first(prefix, value) == min(hits, default=None)
+                    hits = [i for i in picked if expected[i] is value]
+                    assert batch.first(prefix, value, among) == min(hits, default=None)
+                assert [batch.holds(prefix, t) for t in traces] == expected
+    assert by_tuple > 50
 
 
 def test_quantified_witness_matches_per_tuple_loop():
@@ -476,6 +500,15 @@ def test_shared_cache_is_keyed_by_trace_set():
     assert eval_quantified(g, {a, b}, cache=shared)
     assert not eval_quantified(g, {a}, cache=shared)
     assert len(shared) == 2
+
+
+def test_sentence_without_quantifiers_is_its_body():
+    # no quantifier to enumerate: the body is decided on the empty
+    # assignment, and a false one is falsified by the empty tuple
+    traces = {Lasso((), (letter("a"),))}
+    assert eval_quantified_witness(parse("true"), traces) == (True, None)
+    assert eval_quantified_witness(parse("X false"), traces) == (False, ())
+    assert eval_quantified_witness(parse("false"), set()) == (False, ())
 
 
 # --- check -------------------------------------------------------------------
