@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from .errors import CandidateSpaceExceeded, HypersynthError
+from .errors import CandidateSpaceExceeded, ConfigInvalid, HypersynthError
 from .formula import Formula, classify_fragment
 from .nrp import (
     STRATEGIES,
@@ -252,7 +252,12 @@ def cmd_reduce(args) -> Outcome:
 
 def cmd_casestudy(args) -> Outcome:
     if args.config is not None:
-        cfg = config_from_dict(json.loads(_read(args.config)))
+        try:
+            doc = json.loads(_read(args.config))
+        except (ValueError, RecursionError) as exc:
+            # ValueError: malformed text, or an integer past the digit limit
+            raise ConfigInvalid(f"invalid JSON: {exc}") from exc
+        cfg = config_from_dict(doc)
     else:
         cfg = curated_config()
     plant = build_plant(cfg)
@@ -352,9 +357,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_GUARD
     except HypersynthError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except Exception:
         print("internal error:", file=sys.stderr)

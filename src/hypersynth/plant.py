@@ -465,6 +465,31 @@ def default_bounds(plant: Plant) -> tuple[int, int]:
     return (n, n)
 
 
+def pruned_traces(
+    plant: Plant,
+    retained: frozenset[Edge] | None = None,
+    bounds: tuple[int, int] | None = None,
+) -> tuple[frozenset[Lasso], bool]:
+    """The trace set of the plant with its controllable edges pruned to
+    retained (all of them when None), and whether that set is exact.
+
+    retained must leave every state an outgoing edge.  On tree/acyclic
+    frames pruning never rewrites a surviving path, so the traces are the
+    lassos of the paths whose controllable edges are all retained: exact.
+    On general frames they are the bounded lassos of the pruned plant
+    (given or default bounds): not exact, acyclic prunings included.
+    """
+    idx = plant.index
+    if idx.frame is not FrameKind.GENERAL:
+        if retained is None:
+            return enumerate_traces(plant), True
+        keep = retained.issuperset
+        return frozenset([r.lasso for r in idx.paths if keep(r.c_used)]), True
+    if retained is not None:
+        plant = Plant(plant.states, plant.init, retained, plant.u_edges, plant.labeling)
+    return enumerate_lassos(plant, *(bounds or default_bounds(plant))), False
+
+
 # --- JSON interchange ----------------------------------------------------
 
 _PLANT_KEYS = {"states", "init", "labels", "controllable", "uncontrollable"}
@@ -529,7 +554,8 @@ def plant_to_dict(plant: Plant) -> dict:
 def load_plant(text: str) -> Plant:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError: malformed text, or an integer past the digit limit
         raise PlantFormatError(f"invalid JSON: {exc}") from exc
     return plant_from_dict(data)
 

@@ -218,6 +218,8 @@ def parse_qdimacs(text: str) -> QbfInput:
         toks = line[1:].split()
         if not toks or toks[-1] != "0":
             raise DimacsError(f"quantifier line not terminated by 0: {line!r}")
+        if len(toks) == 1:
+            raise DimacsError(f"quantifier line without a variable: {line!r}")
         for tok in toks[:-1]:
             var = _int(tok, "variable")
             if not 0 < var <= num_vars:

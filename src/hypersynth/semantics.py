@@ -56,16 +56,7 @@ from .formula import (
     Release,
     Until,
 )
-from .plant import (
-    FrameKind,
-    Lasso,
-    Plant,
-    classify_frame,
-    default_bounds,
-    enumerate_lassos,
-    enumerate_traces,
-    sort_lassos,
-)
+from .plant import Lasso, Plant, pruned_traces, sort_lassos
 
 TraceAssignment = Mapping[str, Lasso]
 Prefix = tuple[Lasso, ...]
@@ -405,13 +396,9 @@ def check(
     bounds: Optional[tuple[int, int]] = None,
     horizon: int = DEFAULT_HORIZON,
 ) -> CheckResult:
-    """Decide plant |= f.
-
-    Tree/acyclic frames are decided exactly from the full trace set.  On
-    general frames the trace set is the bounded lasso enumeration (given
-    or default bounds) and the verdict is flagged as not exact.
+    """Decide plant |= f on its trace set (see :func:`pruned_traces`):
+    exact on tree/acyclic frames, the bounded lasso enumeration (given or
+    default bounds) and flagged as not exact on general frames.
     """
-    if classify_frame(plant) is FrameKind.GENERAL:
-        traces = enumerate_lassos(plant, *(bounds or default_bounds(plant)))
-        return CheckResult(eval_quantified(f, traces, horizon), exact=False)
-    return CheckResult(eval_quantified(f, enumerate_traces(plant), horizon), exact=True)
+    traces, exact = pruned_traces(plant, bounds=bounds)
+    return CheckResult(eval_quantified(f, traces, horizon), exact)

@@ -7,10 +7,11 @@ Three routes:
 * synth_generic - guess-and-check over the valid candidate space, in
   decreasing retained-edge order (the full plant first, so existential
   formulas are settled by a single model-checking call and the returned
-  witness is maximally permissive).  For purely universal prefixes a
-  failed candidate yields a falsifying trace tuple, and any later
-  candidate whose trace set contains that tuple is skipped without
-  re-evaluation.
+  witness is maximally permissive).  Each candidate is judged on its
+  trace set from :func:`~hypersynth.plant.pruned_traces`.  For purely
+  universal prefixes a failed candidate yields a falsifying trace tuple,
+  and any later candidate whose trace set contains that tuple is skipped
+  without re-evaluation.
 * synth_tree_exists_forall - trees with an E*A prefix: enumerate
   existential witness tuples from the full plant's trace set, then decide
   bottom-up which subtrees can be kept (nodes with an uncontrollable
@@ -21,6 +22,10 @@ Three routes:
   existential witnesses among the marked leaves; on stabilization prune
   to the marked branches, re-checking that uncontrollable transitions do
   not force unmarked leaves back in.
+
+Both tree routes prune with one walk (:func:`_prune`): given a leaf test,
+it keeps every uncontrollable child and every keepable controllable
+child, and returns the kept leaves and the retained edges.
 
 dispatch() routes to the specialized algorithm when frame and fragment
 match, otherwise to synth_generic.  Tree/acyclic verdicts are exact;
@@ -44,29 +49,18 @@ from .errors import (
     FrameMismatch,
     SynthesisError,
 )
-from .formula import (
-    Formula,
-    FragmentKind,
-    Quantifier,
-    classify_fragment,
-)
+from .formula import Formula, FragmentKind, classify_fragment
 from .plant import (
     Edge,
     FrameKind,
     Lasso,
     Plant,
     classify_frame,
-    default_bounds,
-    enumerate_lassos,
+    pruned_traces,
     sort_lassos,
     validate,
 )
-from .semantics import (
-    DEFAULT_HORIZON,
-    BodyBatch,
-    eval_quantified,
-    eval_quantified_witness,
-)
+from .semantics import DEFAULT_HORIZON, BodyBatch, eval_quantified_witness
 
 DEFAULT_MAX_CANDIDATE_BITS = 24
 
@@ -164,21 +158,27 @@ def _removals(plant: Plant) -> Iterator[frozenset[Edge]]:
         buckets.append(
             [[frozenset(c) for c in combinations(edges, k)] for k in range(max_k + 1)]
         )
-
-    def rec(idx: int, remaining: int) -> Iterator[tuple[frozenset[Edge], ...]]:
-        if idx == len(buckets):
-            if remaining == 0:
-                yield ()
-            return
-        for k in range(min(remaining, len(buckets[idx]) - 1) + 1):
-            for combo in buckets[idx][k]:
-                for rest in rec(idx + 1, remaining - k):
-                    yield (combo,) + rest
-
     total_max = sum(len(b) - 1 for b in buckets)
     for size in range(total_max + 1):
-        for parts in rec(0, size):
+        for parts in _split(buckets, 0, size):
             yield frozenset().union(*parts) if parts else frozenset()
+
+
+def _split(
+    buckets: list[list[list[frozenset[Edge]]]], idx: int, remaining: int
+) -> Iterator[tuple[frozenset[Edge], ...]]:
+    """Every way to remove `remaining` edges from the choice points from idx
+    on, one removal set per point, in order.  A module function rather than
+    a recursive closure, which would be a reference cycle left to the
+    cyclic collector on every search."""
+    if idx == len(buckets):
+        if remaining == 0:
+            yield ()
+        return
+    for k in range(min(remaining, len(buckets[idx]) - 1) + 1):
+        for combo in buckets[idx][k]:
+            for rest in _split(buckets, idx + 1, remaining - k):
+                yield (combo,) + rest
 
 
 def synth_generic(
@@ -203,57 +203,30 @@ def synth_generic(
     exact traces, says the formula holds.
     """
     validate(plant)
-    frame = classify_frame(plant)
-    exact = frame is not FrameKind.GENERAL
-    fragment = classify_fragment(f)
-    purely_universal = all(q is Quantifier.FORALL for q, _ in f.prefix)
-
-    if exact:
-        # pruning never rewrites a surviving path, so a candidate's trace
-        # set is exactly the lassos of the paths whose controllable edges
-        # are all retained
-        paths = plant.index.paths
-
-        def trace_set(retained: frozenset[Edge]) -> frozenset[Lasso]:
-            return frozenset(
-                row.lasso for row in paths if retained.issuperset(row.c_used)
-            )
-
-    else:
-        lasso_bounds = bounds if bounds is not None else default_bounds(plant)
-
-        def trace_set(retained: frozenset[Edge]) -> frozenset[Lasso]:
-            pruned = Plant(
-                plant.states, plant.init, retained, plant.u_edges, plant.labeling
-            )
-            return enumerate_lassos(pruned, *lasso_bounds)
-
-    existential_only = fragment.kind is FragmentKind.E_STAR
+    existential_only = classify_fragment(f).kind is FragmentKind.E_STAR
     if not existential_only and max_candidate_bits is not None:
         bits = candidate_space_bits(plant)
         if bits > max_candidate_bits:
             raise CandidateSpaceExceeded(bits, max_candidate_bits)
 
+    # a failed purely universal candidate leaves its falsifying tuple as a
+    # core (other prefixes leave none); a later trace set holding a core
+    # fails too
     cores: list[frozenset[Lasso]] = []
-    first = True
-    for removed in _removals(plant):
+    for removed in _removals(plant):  # never empty: the full plant comes first
         retained = plant.c_edges - removed
-        traces = trace_set(retained)
-        if purely_universal and any(core <= traces for core in cores):
-            ok = False
-        elif purely_universal:
-            ok, witness = eval_quantified_witness(f, traces, horizon)
-            if not ok and witness is not None:
-                cores.append(frozenset(witness))
-        else:
-            ok = eval_quantified(f, traces, horizon)
+        traces, exact = pruned_traces(plant, retained, bounds)
+        if any(core <= traces for core in cores):
+            continue
+        ok, witness = eval_quantified_witness(f, traces, horizon)
         if ok:
             return SynthesisResult(
                 Verdict.REALIZABLE, ControllerSolution(retained), exact
             )
-        if first and existential_only:
+        if existential_only:
             break  # smaller trace sets cannot satisfy an existential formula
-        first = False
+        if witness is not None:
+            cores.append(frozenset(witness))
     if exact:
         return SynthesisResult(Verdict.UNREALIZABLE, None, True)
     return SynthesisResult(Verdict.BOUNDED_UNKNOWN, None, False)
@@ -308,31 +281,48 @@ class _Keepable:
                 return result
 
 
-def _kept_states(plant: Plant, keepable) -> set[str]:
-    """States reachable when every keepable controllable child is retained
-    (maximally permissive pruning)."""
+def _prune(plant: Plant, leaf_ok) -> Optional[tuple[list[str], frozenset[Edge]]]:
+    """The maximal pruning of a tree whose remaining leaves all pass
+    leaf_ok: None when the root cannot be kept, else the kept leaves and
+    the retained edges.  One walk from init keeps every uncontrollable
+    child and every keepable controllable child, and removes the
+    controllable edges into the other children; edges at states the walk
+    does not reach, and terminal self-loops, stay retained."""
+    keepable = _Keepable(plant, leaf_ok)
+    if not keepable(plant.init):
+        return None
     idx = plant.index
-    kept: set[str] = set()
+    leaves: list[str] = []
+    removed: list[Edge] = []
     stack = [plant.init]
     while stack:
         s = stack.pop()
-        if s in kept:
-            continue
-        kept.add(s)
         if s in idx.terminals:
+            leaves.append(s)
             continue
         stack += idx.u_succ.get(s, ())
-        stack += filter(keepable, idx.c_succ.get(s, ()))
-    return kept
+        for t in idx.c_succ.get(s, ()):
+            if keepable(t):
+                stack.append(t)
+            else:
+                removed.append((s, t))
+    return leaves, plant.c_edges.difference(removed)
 
 
-def _retained_for(plant: Plant, keepable, kept: set[str]) -> frozenset[Edge]:
-    """Maximal retained edge set for the kept subtree: keep everything at
-    unreachable states (totality), terminal self-loops (the only self-loops
-    of a tree), and controllable edges into keepable subtrees."""
-    return frozenset(
-        (a, b) for a, b in plant.c_edges if a not in kept or a == b or keepable(b)
-    )
+def _tree_leaves(
+    plant: Plant, f: Formula, kind: FragmentKind
+) -> tuple[dict[str, Lasso], list[Lasso]]:
+    """The tree routes' shared check and set-up: raises FrameMismatch off
+    trees and FragmentMismatch unless f is of the given kind; returns the
+    trace of every leaf and the distinct leaf traces, sorted."""
+    frame = classify_frame(plant)
+    if frame is not FrameKind.TREE:
+        raise FrameMismatch("tree", frame.value)
+    fragment = classify_fragment(f)
+    if fragment.kind is not kind:
+        raise FragmentMismatch(kind.value, str(fragment))
+    leaf_trace = {row.terminal: row.lasso for row in plant.index.paths}
+    return leaf_trace, sort_lassos(set(leaf_trace.values()))
 
 
 # --- specialized tree algorithms ----------------------------------------------
@@ -353,14 +343,7 @@ def synth_tree_exists_forall(
     :class:`BodyBatch` over the leaf traces, kept for the current
     assignment only.
     """
-    frame = classify_frame(plant)
-    if frame is not FrameKind.TREE:
-        raise FrameMismatch("tree", frame.value)
-    fragment = classify_fragment(f)
-    if fragment.kind is not FragmentKind.E_STAR_A:
-        raise FragmentMismatch("E*A", str(fragment))
-    leaf_trace = {row.terminal: row.lasso for row in plant.index.paths}
-    traces = sort_lassos(set(leaf_trace.values()))
+    leaf_trace, traces = _tree_leaves(plant, f, FragmentKind.E_STAR_A)
     memo: dict = {}  # the current witness's answers, which every leaf reads
     batch = BodyBatch(f, traces, horizon, memo)
 
@@ -368,15 +351,15 @@ def synth_tree_exists_forall(
         memo.clear()
         if not all(batch.holds(witness, t) for t in set(witness)):
             continue
-        keepable = _Keepable(plant, lambda s: batch.holds(witness, leaf_trace[s]))
-        if not keepable(plant.init):
+        pruning = _prune(plant, lambda s: batch.holds(witness, leaf_trace[s]))
+        if pruning is None:
             continue
-        kept = _kept_states(plant, keepable)
-        kept_traces = {leaf_trace[s] for s in kept if s in leaf_trace}
-        if not all(t in kept_traces for t in witness):
-            continue
-        retained = _retained_for(plant, keepable, kept)
-        return SynthesisResult(Verdict.REALIZABLE, ControllerSolution(retained), True)
+        leaves, retained = pruning
+        kept = {leaf_trace[s] for s in leaves}
+        if all(t in kept for t in witness):
+            return SynthesisResult(
+                Verdict.REALIZABLE, ControllerSolution(retained), True
+            )
     return SynthesisResult(Verdict.UNREALIZABLE, None, True)
 
 
@@ -396,14 +379,7 @@ def synth_tree_marking(
     the realizable leaf set coincide (Realizable) or no leaf survives
     (Unrealizable).
     """
-    frame = classify_frame(plant)
-    if frame is not FrameKind.TREE:
-        raise FrameMismatch("tree", frame.value)
-    fragment = classify_fragment(f)
-    if fragment.kind is not FragmentKind.A_E_STAR:
-        raise FragmentMismatch("AE*", str(fragment))
-    leaf_trace = {row.terminal: row.lasso for row in plant.index.paths}
-    leaves = sort_lassos(set(leaf_trace.values()))
+    leaf_trace, leaves = _tree_leaves(plant, f, FragmentKind.A_E_STAR)
     # the last existential is one batch query over the marked leaves, its
     # answers kept across rounds
     batch = BodyBatch(f, leaves, horizon, {})
@@ -424,17 +400,16 @@ def synth_tree_marking(
         if not marked:
             return SynthesisResult(Verdict.UNREALIZABLE, None, True)
         marked_set = set(marked)
-        keepable = _Keepable(plant, lambda s: leaf_trace[s] in marked_set)
-        if not keepable(plant.init):
+        pruning = _prune(plant, lambda s: leaf_trace[s] in marked_set)
+        if pruning is None:
             return SynthesisResult(Verdict.UNREALIZABLE, None, True)
-        kept = _kept_states(plant, keepable)
-        kept_traces = {leaf_trace[s] for s in kept if s in leaf_trace}
-        if kept_traces == marked_set:
-            retained = _retained_for(plant, keepable, kept)
+        kept_leaves, retained = pruning
+        kept = {leaf_trace[s] for s in kept_leaves}
+        if kept == marked_set:
             return SynthesisResult(
                 Verdict.REALIZABLE, ControllerSolution(retained), True
             )
-        marked = sort_lassos(kept_traces)
+        marked = sort_lassos(kept)
 
 
 def dispatch(

@@ -396,19 +396,23 @@ def random_general_plant(
     rng: random.Random,
     max_states: int = 6,
     props: Sequence[str] = PROPS,
+    c_frac: float = 0.0,
 ) -> Plant:
+    """Random graph of out-degree 1-2; each edge is controllable with
+    probability c_frac (no draw is made when it is 0)."""
     total = rng.randint(1, max_states)
     labels = {f"n{s}": random_letter(rng, props) for s in range(total)}
-    u_edges: set[tuple[str, str]] = set()
+    edges: list[tuple[str, str]] = []
     for s in range(total):
         fanout = rng.randint(1, 2)
         for t in rng.sample(range(total), min(fanout, total)):
-            u_edges.add((f"n{s}", f"n{t}"))
+            edges.append((f"n{s}", f"n{t}"))
+    c_edges = {e for e in edges if c_frac and rng.random() < c_frac}
     return Plant(
         states=frozenset(labels),
         init="n0",
-        c_edges=frozenset(),
-        u_edges=frozenset(u_edges),
+        c_edges=frozenset(c_edges),
+        u_edges=frozenset(edges) - c_edges,
         labeling=labels,
     )
 

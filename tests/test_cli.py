@@ -241,6 +241,30 @@ def test_casestudy_bad_config_exit(tmp_path, capsys):
     assert main(["casestudy", "--strategy", "correct", "--config", str(cfg)]) == 2
 
 
+# JSON that the standard library refuses with an error other than a
+# JSONDecodeError: nesting past the recursion limit, and an integer past
+# the digit limit for int conversion
+_UNDECODABLE = {"deep": "[" * 100_000, "digits": "[" + "1" * 5000 + "]"}
+
+
+@pytest.mark.parametrize("text", _UNDECODABLE.values(), ids=_UNDECODABLE.keys())
+def test_undecodable_plant_json_exits_bad_input(tmp_path, capsys, text):
+    plant = tmp_path / "plant.json"
+    plant.write_text(text)
+    assert main(["check", str(plant), _formula_file(tmp_path, "forall t. a[t]")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: invalid JSON")
+
+
+@pytest.mark.parametrize("text", _UNDECODABLE.values(), ids=_UNDECODABLE.keys())
+def test_undecodable_config_json_exits_bad_input(tmp_path, capsys, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"actions": ' + text + "}")
+    assert main(["casestudy", "--config", str(cfg), "--strategy", "correct"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: invalid JSON")
+
+
 CYCLE = {
     "states": ["s0", "s1"],
     "init": "s0",

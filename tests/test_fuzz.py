@@ -1,14 +1,17 @@
 """Property tests for the text front ends: the formula parser, the DIMACS
-and QDIMACS readers, and ``hypersynth reduce`` on DIMACS-like input.
-Whatever the text, each raises only its own documented error, and the CLI
-exits 0 or 2."""
+and QDIMACS readers, ``hypersynth reduce`` on DIMACS-like input, and the
+plant reader.  Whatever the text, each raises only its own documented
+error, and the CLI exits 0 or 2."""
+
+import json
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hypersynth.cli import main
-from hypersynth.errors import ParseError, ReductionError
+from hypersynth.errors import ParseError, PlantError, ReductionError
 from hypersynth.parser import parse_body, print_body
+from hypersynth.plant import Plant, load_plant, validate
 from hypersynth.reductions import parse_dimacs, parse_qdimacs
 
 _BODY_TOKENS = (
@@ -99,3 +102,53 @@ def test_reduce_exits_zero_or_bad_input(tmp_path, capsys, kind, data):
     assert main(["reduce", kind, str(source), "--out-dir", str(tmp_path / "out")]) in (0, 2)
     capsys.readouterr()
 
+
+
+_json_value = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=10,
+)
+_name = st.sampled_from(["s", "t", "u"])
+_plant_value = st.one_of(
+    _json_value,
+    _name,
+    st.lists(_name, max_size=4),
+    st.lists(st.lists(_name, max_size=3), max_size=5),
+    st.dictionaries(_name, st.lists(st.sampled_from(["a", "b"]), max_size=2)),
+)
+_plant_key = st.sampled_from(
+    ["states", "init", "labels", "controllable", "uncontrollable", "other"]
+)
+_plant_like = st.one_of(
+    st.dictionaries(_plant_key, _plant_value, max_size=6),
+    st.fixed_dictionaries(
+        {
+            "states": st.lists(_name, max_size=4),
+            "init": _name,
+            "labels": st.dictionaries(_name, st.lists(st.sampled_from(["a", "b"]))),
+            "controllable": st.lists(st.lists(_name, min_size=2, max_size=2), max_size=5),
+            "uncontrollable": st.lists(st.lists(_name, min_size=2, max_size=2), max_size=5),
+        }
+    ),
+)
+_plant_text = st.one_of(
+    st.text(max_size=40),
+    _json_value.map(json.dumps),
+    _plant_like.map(json.dumps),
+    # nested past the recursion limit, and an integer past the digit limit
+    st.integers(0, 3000).map(lambda n: "[" * n + "]" * n),
+    st.integers(1, 6000).map(lambda n: "1" * n),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_plant_text)
+def test_plant_reader_gives_a_plant_or_a_plant_error(text):
+    try:
+        plant = load_plant(text)
+        validate(plant)
+    except PlantError:
+        return
+    assert isinstance(plant, Plant)

@@ -19,16 +19,19 @@ from hypersynth.plant import (
     Plant,
     canonical,
     classify_frame,
+    default_bounds,
     dump_plant,
     enumerate_lassos,
     enumerate_traces,
     lasso_equal,
     load_plant,
     plant_to_dict,
+    pruned_traces,
     sort_lassos,
     to_dot,
     validate,
 )
+from hypersynth.synth import ControllerSolution, apply_solution
 
 from helpers import (
     classify_frame_reference,
@@ -268,6 +271,60 @@ def test_lassos_monotone_in_bounds():
         small = enumerate_lassos(plant, 2, 2)
         assert small <= enumerate_lassos(plant, 3, 2)
         assert small <= enumerate_lassos(plant, 2, 3)
+
+
+# --- pruned trace sets -----------------------------------------------------
+
+
+def _random_retained(rng, plant):
+    """A random subset of the controllable edges that leaves every state
+    an outgoing edge."""
+    idx = plant.index
+    retained = set()
+    for s, succ in idx.c_succ.items():
+        keep = [t for t in succ if rng.random() < 0.5]
+        if not keep and s not in idx.u_succ:
+            keep = [rng.choice(succ)]
+        retained.update((s, t) for t in keep)
+    return frozenset(retained)
+
+
+def test_pruned_traces_are_the_pruned_plants_traces():
+    rng = random.Random(21)
+    for i in range(300):
+        gen = random_tree_plant if i % 2 else random_acyclic_plant
+        plant = gen(rng)
+        retained = _random_retained(rng, plant)
+        pruned = apply_solution(plant, ControllerSolution(retained))
+        assert pruned_traces(plant, retained) == (enumerate_traces(pruned), True)
+
+
+def test_pruned_traces_on_general_frames_are_bounded_lassos():
+    rng = random.Random(22)
+    tested = 0
+    while tested < 150:
+        plant = random_general_plant(rng, max_states=5, c_frac=0.5)
+        if not plant.c_edges or classify_frame(plant) is not FrameKind.GENERAL:
+            continue
+        tested += 1
+        retained = _random_retained(rng, plant)
+        bounds = rng.choice([None, (rng.randint(0, 3), rng.randint(1, 3))])
+        pruned = apply_solution(plant, ControllerSolution(retained))
+        expected = enumerate_lassos(pruned, *(bounds or default_bounds(plant)))
+        assert pruned_traces(plant, retained, bounds) == (expected, False)
+
+
+def test_unpruned_traces_are_the_plants_traces():
+    rng = random.Random(23)
+    for i in range(150):
+        gen = (random_tree_plant, random_acyclic_plant, random_general_plant)[i % 3]
+        plant = gen(rng)
+        bounds = rng.choice([None, (rng.randint(0, 3), rng.randint(1, 3))])
+        if classify_frame(plant) is FrameKind.GENERAL:
+            expected = (enumerate_lassos(plant, *(bounds or default_bounds(plant))), False)
+        else:
+            expected = (enumerate_traces(plant), True)
+        assert pruned_traces(plant, bounds=bounds) == expected
 
 
 # --- lasso equality --------------------------------------------------------

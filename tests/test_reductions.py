@@ -68,7 +68,8 @@ def test_parse_dimacs_errors():
     # non-integer or negative problem-line counts, a second problem line,
     # non-integer quantified variables, quantified variables outside
     # 1..num_vars; QDIMACS with a clause count other than the header's, a
-    # clause before the problem line, a quantifier line after a clause
+    # clause before the problem line, a quantifier line after a clause, a
+    # quantifier line without a variable
     for read, text in [
         (parse_dimacs, "p cnf x 1\n1 0\n"),
         (parse_dimacs, "p cnf -1 0\n"),
@@ -86,6 +87,7 @@ def test_parse_dimacs_errors():
         (parse_qdimacs, "e 1 2 3 0\np cnf 3 1\n1 2 3 0\n"),
         (parse_qdimacs, "p cnf 3 1\n1 2 3 0\ne 1 2 3 0\n"),
         (parse_qdimacs, "p cnf 3 2\ne 1 0\n1 2 3 0\na 2 3 0\n-1 2 3 0\n"),
+        (parse_qdimacs, "p cnf 3 1\ne 0\ne 1 2 3 0\n1 2 3 0\n"),
     ]:
         with pytest.raises(DimacsError):
             read(text)

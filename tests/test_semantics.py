@@ -34,7 +34,13 @@ from hypersynth.semantics import (
     eval_quantified,
     eval_quantified_witness,
 )
-from hypersynth.synth import synth_tree_exists_forall, synth_tree_marking
+from hypersynth.reductions import CnfInput, threesat_to_instance
+from hypersynth.synth import (
+    dispatch,
+    synth_generic,
+    synth_tree_exists_forall,
+    synth_tree_marking,
+)
 
 from helpers import (
     naive_eval,
@@ -270,10 +276,19 @@ def test_evaluation_leaves_no_reference_cycles():
             set(),
             {"x": {"a"}, "y": {"b"}, "z": {"a", "b"}},
         )
-        return plant, {Lasso((), (letter("a"),)), Lasso((letter("b"),), (letter(),))}
+        cycle = Plant(
+            {"s", "t"},
+            "s",
+            {("s", "s"), ("s", "t")},
+            {("t", "s")},
+            {"s": {"a"}},
+        )
+        sat = threesat_to_instance(CnfInput(3, ((1, 2, 3), (-1, -2, 3))))
+        traces = {Lasso((), (letter("a"),)), Lasso((letter("b"),), (letter(),))}
+        return plant, traces, cycle, sat
 
     def run():
-        plant, traces = fresh()
+        plant, traces, cycle, sat = fresh()
         body = parse_body("G(a[p] <-> a[q]) & F b[p] & (a[p] U b[q])")
         asg = {"p": Lasso((letter("a"),), (letter("b"), letter())), "q": Lasso((), (letter("a"),))}
         for _ in range(20):
@@ -281,6 +296,8 @@ def test_evaluation_leaves_no_reference_cycles():
         eval_quantified_witness(parse("forall p. forall q. G(a[p] <-> a[q])"), traces)
         synth_tree_exists_forall(plant, parse("exists p. forall q. F a[q]"))
         synth_tree_marking(plant, parse("forall p. exists q. F(a[q] & b[q])"))
+        synth_generic(sat.plant, sat.formula)
+        dispatch(cycle, parse("forall p. G F a[p]"))
 
     run()  # first calls may fill interpreter-level caches
     gc.collect()

@@ -134,6 +134,28 @@ def test_generic_returns_maximal_witness():
             assert len(got.solution.retained) == len(best)
 
 
+def test_candidates_come_in_a_fixed_order():
+    # the order decides which of several equally permissive witnesses wins
+    plant = Plant(
+        {"a", "b", "x", "y"},
+        "a",
+        {("a", "x"), ("a", "y"), ("b", "x"), ("b", "y")},
+        {("b", "b"), ("x", "x"), ("y", "y")},
+        {},
+    )
+    # a must keep one of its edges; b may lose both
+    ax, ay, bx, by = ("a", "x"), ("a", "y"), ("b", "x"), ("b", "y")
+    assert list(hypersynth.synth._removals(plant)) == [
+        frozenset(e)
+        for e in (
+            (),
+            (bx,), (by,), (ax,), (ay,),
+            (bx, by), (ax, bx), (ax, by), (ay, bx), (ay, by),
+            (ax, bx, by), (ay, bx, by),
+        )
+    ]
+
+
 def test_candidate_guard():
     chain_states = {f"n{i}" for i in range(40)}
     c_edges = {(f"n{i}", f"n{j}") for i in range(40) for j in (i, (i + 1) % 40)}
