@@ -131,6 +131,8 @@ def config_from_dict(data: dict) -> ProtocolConfig:
     try:
         rounds = data["rounds"]
         actions = data["actions"]
+        if isinstance(rounds, bool) or not isinstance(rounds, int):
+            raise ConfigInvalid(f"rounds must be an integer, not {rounds!r}")
         return ProtocolConfig(
             rounds=rounds,
             a_actions=tuple(frozenset(r) for r in actions["A"]),

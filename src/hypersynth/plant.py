@@ -21,7 +21,7 @@ from enum import Enum
 from functools import cached_property
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import (
     DanglingReference,
@@ -89,12 +89,6 @@ class Plant:
 
     def successors(self, state: str) -> list[str]:
         return list(self.index.adjacency[state])
-
-    def atomic_propositions(self) -> frozenset[str]:
-        props: set[str] = set()
-        for letter in self.labeling.values():
-            props |= letter
-        return frozenset(props)
 
 
 def validate(plant: Plant) -> None:
@@ -267,10 +261,11 @@ def lasso_equal(x: Lasso, y: Lasso) -> bool:
 
 class PathRow(NamedTuple):
     """A maximal path: its terminal state, the controllable edges it
-    crosses (terminal self-loop included), and its canonical trace."""
+    crosses (terminal self-loop included) as a bitmask over
+    :attr:`PlantIndex.c_bit`, and its canonical trace."""
 
     terminal: str
-    c_used: tuple[Edge, ...]
+    c_used: int
     lasso: Lasso
 
 
@@ -309,6 +304,15 @@ class PlantIndex:
     def u_succ(self) -> dict[str, list[str]]:
         """Successors over the uncontrollable edges, keyed by their sources."""
         return self._successors(self._u_edges, {a for a, _ in self._u_edges})
+
+    @cached_property
+    def c_bit(self) -> dict[Edge, int]:
+        """The bit of each controllable edge, numbered in sorted edge order."""
+        return {e: 1 << i for i, e in enumerate(sorted(self._c_edges))}
+
+    def c_mask(self, edges: Iterable[Edge]) -> int:
+        """The bitmask of distinct controllable edges."""
+        return sum(map(self.c_bit.__getitem__, edges))
 
     @cached_property
     def terminals(self) -> frozenset[str]:
@@ -358,24 +362,26 @@ class PlantIndex:
         general frames."""
         if self.frame is FrameKind.GENERAL:
             raise NotAcyclic()
-        adj, terminals, c_edges = self.adjacency, self.terminals, self._c_edges
+        adj, terminals, bit = self.adjacency, self.terminals, self.c_bit.get
         labeling, empty = self._labeling, frozenset()
         rows: list[PathRow] = []
-        stack = [(self._init, (), ())]  # state, labels so far, c-edges so far
+        stack = [(self._init, (), 0)]  # state, labels so far, c-edge mask so far
         while stack:
             state, labels, used = stack.pop()
             if state in terminals:
-                loop_edge = (state, state)
-                if loop_edge in c_edges:
-                    used += (loop_edge,)
+                used |= bit((state, state), 0)
                 lasso = canonical(Lasso(labels, (labeling.get(state, empty),)))
                 rows.append(PathRow(state, used, lasso))
                 continue
             here = labels + (labeling.get(state, empty),)
             for nxt in adj[state]:
-                edge = (state, nxt)
-                stack.append((nxt, here, used + (edge,) if edge in c_edges else used))
+                stack.append((nxt, here, used | bit((state, nxt), 0)))
         return tuple(rows)
+
+    def surviving(self, removed: int) -> Iterator[PathRow]:
+        """The paths, in order, that cross none of the removed controllable
+        edges (a mask): on tree/acyclic frames, the paths of the pruning."""
+        return (r for r in self.paths if not r.c_used & removed)
 
     @cached_property
     def reachable(self) -> frozenset[str]:
@@ -475,7 +481,8 @@ def pruned_traces(
 
     retained must leave every state an outgoing edge.  On tree/acyclic
     frames pruning never rewrites a surviving path, so the traces are the
-    lassos of the paths whose controllable edges are all retained: exact.
+    lassos of the paths that cross no removed edge
+    (:meth:`PlantIndex.surviving`): exact.
     On general frames they are the bounded lassos of the pruned plant
     (given or default bounds): not exact, acyclic prunings included.
     """
@@ -483,8 +490,8 @@ def pruned_traces(
     if idx.frame is not FrameKind.GENERAL:
         if retained is None:
             return enumerate_traces(plant), True
-        keep = retained.issuperset
-        return frozenset([r.lasso for r in idx.paths if keep(r.c_used)]), True
+        removed = idx.c_mask(plant.c_edges.difference(retained))
+        return frozenset([r.lasso for r in idx.surviving(removed)]), True
     if retained is not None:
         plant = Plant(plant.states, plant.init, retained, plant.u_edges, plant.labeling)
     return enumerate_lassos(plant, *(bounds or default_bounds(plant))), False

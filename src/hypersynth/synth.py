@@ -2,16 +2,24 @@
 plant can be restricted so the pruned plant satisfies a closed formula,
 and produce a witness controller.
 
-Three routes:
+Four routes:
 
-* synth_generic - guess-and-check over the valid candidate space, in
-  decreasing retained-edge order (the full plant first, so existential
-  formulas are settled by a single model-checking call and the returned
-  witness is maximally permissive).  Each candidate is judged on its
-  trace set from :func:`~hypersynth.plant.pruned_traces`.  For purely
-  universal prefixes a failed candidate yields a falsifying trace tuple,
-  and any later candidate whose trace set contains that tuple is skipped
-  without re-evaluation.
+* synth_generic, universal prefixes on tree/acyclic frames - a
+  core-guided search for a minimum set of removed edges (:func:`_min_removal`).
+  Each failed pruning's falsifying trace tuple becomes a blocking clause
+  over controllable edges: a passing pruning cuts one of the paths that
+  carried the tuple.  Removal sets are tried by increasing size, and each
+  one that hits every clause is judged on its trace set from
+  :func:`~hypersynth.plant.pruned_traces`, so the first that passes is a
+  maximally permissive witness.
+* synth_generic, every other prefix and general frames - guess-and-check
+  over the valid candidate space, in decreasing retained-edge order (the
+  full plant first, so existential formulas are settled by a single
+  model-checking call and the returned witness is maximally permissive).
+  Each candidate is judged on its trace set from ``pruned_traces``.  For
+  purely universal prefixes a failed candidate yields a falsifying trace
+  tuple, and any later candidate whose trace set contains that tuple is
+  skipped without re-evaluation.
 * synth_tree_exists_forall - trees with an E*A prefix: enumerate
   existential witness tuples from the full plant's trace set, then decide
   bottom-up which subtrees can be kept (nodes with an uncontrollable
@@ -54,6 +62,7 @@ from .plant import (
     Edge,
     FrameKind,
     Lasso,
+    PathRow,
     Plant,
     classify_frame,
     pruned_traces,
@@ -193,7 +202,9 @@ def synth_generic(
     Searches valid prunings in decreasing retained-set size; the first
     passing candidate (which is the most permissive one) wins.  For
     existential prefixes only the full plant is relevant: pruning shrinks
-    the trace set, which can never help an E* formula.  The candidate
+    the trace set, which can never help an E* formula.  Universal prefixes
+    on tree/acyclic frames take the core-guided search of
+    :func:`_min_removal` instead of the candidate walk.  The candidate
     space guard refuses searches beyond 2**max_candidate_bits candidates
     (pass None to disable).
 
@@ -203,11 +214,14 @@ def synth_generic(
     exact traces, says the formula holds.
     """
     validate(plant)
-    existential_only = classify_fragment(f).kind is FragmentKind.E_STAR
+    kind = classify_fragment(f).kind
+    existential_only = kind is FragmentKind.E_STAR
     if not existential_only and max_candidate_bits is not None:
         bits = candidate_space_bits(plant)
         if bits > max_candidate_bits:
             raise CandidateSpaceExceeded(bits, max_candidate_bits)
+    if kind is FragmentKind.A_STAR and plant.index.frame is not FrameKind.GENERAL:
+        return _min_removal(plant, f, horizon)
 
     # a failed purely universal candidate leaves its falsifying tuple as a
     # core (other prefixes leave none); a later trace set holding a core
@@ -230,6 +244,88 @@ def synth_generic(
     if exact:
         return SynthesisResult(Verdict.UNREALIZABLE, None, True)
     return SynthesisResult(Verdict.BOUNDED_UNKNOWN, None, False)
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The set bits of mask, lowest first, each as an int of its own."""
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
+
+
+def _min_removal(plant: Plant, f: Formula, horizon: int) -> SynthesisResult:
+    """A universal prefix on a tree/acyclic frame: a minimum removal set
+    by counterexample-guided search (CEGIS, Solar-Lezama et al., ASPLOS
+    2006, run as implicit hitting sets, Davies & Bacchus, CP 2011).
+
+    A universal formula that fails on a trace set fails on every superset,
+    so each falsifying tuple blocks every removal set that leaves one
+    surviving path of each of its traces: a passing removal set must
+    contain one of those paths' removable edges (a clause).  Removal sets
+    are expanded by increasing size, each at most once: a set that misses
+    a clause is extended by each edge of the first such clause; a set that
+    hits every clause is judged on its traces, unless a stored falsifying
+    tuple (a core) lies in them, and either passes (the least removal, so
+    a maximum witness) or yields a new clause.  An edge is not removed
+    when it is its state's last way out (deadlock freedom), and an empty
+    clause, or no set left to expand, means Unrealizable."""
+    idx = plant.index
+    removable = 0
+    # per edge bit, the controllable out-edges of its source when the
+    # source has no uncontrollable way out: they may not all go
+    last_way: dict[int, int] = {}
+    for s, succ in idx.c_succ.items():
+        out = idx.c_mask((s, t) for t in succ)
+        if s in idx.u_succ:
+            removable |= out
+        elif len(succ) > 1:
+            removable |= out
+            last_way.update(dict.fromkeys(_bits(out), out))
+    clauses: list[int] = []
+    cores: list[frozenset[Lasso]] = []
+    level, seen = [0], {0}
+    while level:
+        following = []
+        for removed in level:
+            clause = next((c for c in clauses if not c & removed), None)
+            if clause is None:
+                retained = frozenset([e for e, b in idx.c_bit.items() if not b & removed])
+                traces, _ = pruned_traces(plant, retained)
+                core = next((c for c in cores if c <= traces), None)
+                if core is None:
+                    ok, witness = eval_quantified_witness(f, traces, horizon)
+                    if ok:
+                        solution = ControllerSolution(retained)
+                        return SynthesisResult(Verdict.REALIZABLE, solution, True)
+                    core = frozenset(witness)
+                    cores.append(core)
+                clause = _blocking_clause(idx.surviving(removed), core) & removable
+                if not clause:
+                    return SynthesisResult(Verdict.UNREALIZABLE, None, True)
+                clauses.append(clause)
+            for b in _bits(clause):
+                child = removed | b
+                way = last_way.get(b)
+                if child not in seen and (way is None or child & way != way):
+                    seen.add(child)
+                    following.append(child)
+        level = following
+    return SynthesisResult(Verdict.UNREALIZABLE, None, True)
+
+
+def _blocking_clause(paths: Iterator[PathRow], core: frozenset[Lasso]) -> int:
+    """The controllable edges of the first of the given paths with each
+    trace of the core."""
+    wanted = set(core)
+    clause = 0
+    for row in paths:
+        if row.lasso in wanted:
+            wanted.discard(row.lasso)
+            clause |= row.c_used
+            if not wanted:
+                break
+    return clause
 
 
 # --- tree structure ----------------------------------------------------------

@@ -229,6 +229,11 @@ def classify_frame_reference(plant: Plant) -> FrameKind:
     return FrameKind.ACYCLIC
 
 
+def atomic_propositions(plant: Plant) -> frozenset[str]:
+    """Every proposition that labels some state of the plant."""
+    return frozenset().union(*plant.labeling.values())
+
+
 # --- exhaustive synthesis oracle ---------------------------------------------
 
 

@@ -11,7 +11,7 @@ from hypersynth.cli import main
 from hypersynth.plant import dump_plant, load_plant
 from hypersynth.reductions import parse_dimacs, threesat_to_instance
 
-from helpers import sat_brute
+from helpers import atomic_propositions, sat_brute
 
 FIG1 = {
     "states": ["sinit", "s1", "s2", "s3"],
@@ -187,7 +187,7 @@ def test_reduce_qbf_emits_depth_labels(tmp_path):
     out_dir = tmp_path / "outq"
     assert main(["reduce", "qbf", str(qdimacs), "--out-dir", str(out_dir)]) == 0
     plant = load_plant((out_dir / "qbf.plant.json").read_text())
-    assert {"q1", "q2", "q3"} <= plant.atomic_propositions()
+    assert {"q1", "q2", "q3"} <= atomic_propositions(plant)
 
 
 def test_reduce_horn_rejects_two_positive_literals(tmp_path, capsys):
@@ -239,6 +239,18 @@ def test_casestudy_bad_config_exit(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"rounds": 1}')
     assert main(["casestudy", "--strategy", "correct", "--config", str(cfg)]) == 2
+
+
+@pytest.mark.parametrize("rounds", ["true", "1.0"])
+def test_casestudy_config_round_count_must_be_an_integer(tmp_path, capsys, rounds):
+    # one-round action lists, which a round count of 1 would accept
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        '{"rounds": ' + rounds + ', "actions": {"A": [[]], "T": [[]], "B": [[]]}}'
+    )
+    assert main(["casestudy", "--strategy", "correct", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "rounds must be an integer" in err[0]
 
 
 # JSON that the standard library refuses with an error other than a

@@ -28,6 +28,7 @@ from hypersynth.reductions import (
 from hypersynth.synth import ControllerSolution, Verdict, dispatch, synth_generic
 
 from helpers import (
+    atomic_propositions,
     cnf_satisfied,
     horn_sat_brute,
     qbf_brute,
@@ -327,7 +328,7 @@ def test_qbf_structure_fig5():
     inst = qbf_to_instance(FIG5)
     validate(inst.plant)
     assert classify_frame(inst.plant) is FrameKind.ACYCLIC
-    props = inst.plant.atomic_propositions()
+    props = atomic_propositions(inst.plant)
     assert {"q1", "q2", "q3", "c", "p", "pbar"} <= props
     # clause roots are uncontrollable and carry c
     assert ("init", "r1") in inst.plant.u_edges

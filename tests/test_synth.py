@@ -1,4 +1,6 @@
 import random
+import time
+from itertools import product
 
 import pytest
 
@@ -167,6 +169,66 @@ def test_candidate_guard():
     # existential formulas bypass the guard: only the full plant matters
     res = synth_generic(plant, Formula(((E, "t"),), TrueBool()))
     assert res.verdict is Verdict.REALIZABLE
+
+
+def test_candidate_guard_trips_before_the_universal_search():
+    # a tree of 13 choice points with four choices each: 2^26 candidates
+    states, c_edges, u_edges = {"r"}, set(), set()
+    for i in range(13):
+        c, kids = f"c{i}", [f"a{i}", f"b{i}", f"d{i}"]
+        states |= {c, *kids}
+        u_edges |= {("r", c), (c, kids[2])} | {(k, k) for k in kids}
+        c_edges |= {(c, kids[0]), (c, kids[1])}
+    plant = Plant(states, "r", c_edges, u_edges, {"a0": {"a"}})
+    assert classify_frame(plant) is FrameKind.TREE
+    assert candidate_space_bits(plant) == 26
+    with pytest.raises(CandidateSpaceExceeded):
+        dispatch(plant, parse("forall p. forall q. G(a[p] <-> a[q])"))
+
+
+class _Walked(Exception):
+    """Raised by a candidate walk that the search was not to take."""
+
+
+def _no_walk(plant):
+    raise _Walked()
+
+
+def test_universal_search_matches_bruteforce_on_trees_and_dags(monkeypatch):
+    # A* prefixes on exact frames take the core-guided search, never the
+    # candidate walk, and find a maximum passing pruning
+    monkeypatch.setattr(hypersynth.synth, "_removals", _no_walk)
+    rng = random.Random(30)
+    realizable = 0
+    for i in range(240):
+        grow = random_tree_plant if i % 2 else random_acyclic_plant
+        plant = grow(rng, max_states=8, max_c_edges=7)
+        f = random_prefix_formula(rng, (A,) * rng.randint(1, 3), budget=5)
+        expected, best = synth_brute(plant, f)
+        got = dispatch(plant, f)
+        assert got.realizable == expected and got.exact
+        if expected:
+            realizable += 1
+            assert len(got.solution.retained) == len(best)
+            assert check(apply_solution(plant, got.solution), f).holds
+    assert 0 < realizable < 240
+    # general frames still walk the candidates
+    general = Plant({"x", "y"}, "x", {("x", "y"), ("x", "x")}, {("y", "x")}, {})
+    with pytest.raises(_Walked):
+        dispatch(general, parse("forall p. G a[p]"))
+
+
+def test_unsatisfiable_cnf_is_decided_quickly():
+    # every sign pattern over three variables: about 2^22.5 candidates
+    lines = [
+        " ".join(str(v if sign else -v) for v, sign in zip((1, 2, 3), signs)) + " 0"
+        for signs in product((True, False), repeat=3)
+    ]
+    inst = threesat_to_instance(parse_dimacs("p cnf 3 8\n" + "\n".join(lines) + "\n"))
+    assert 22 < candidate_space_bits(inst.plant) < 23
+    start = time.perf_counter()
+    assert dispatch(inst.plant, inst.formula).verdict is Verdict.UNREALIZABLE
+    assert time.perf_counter() - start < 10
 
 
 # --- specialized tree algorithms ----------------------------------------------
