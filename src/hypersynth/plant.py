@@ -307,12 +307,17 @@ class PlantIndex:
 
     @cached_property
     def c_bit(self) -> dict[Edge, int]:
-        """The bit of each controllable edge, numbered in sorted edge order."""
-        return {e: 1 << i for i, e in enumerate(sorted(self._c_edges))}
+        """The bit position of each controllable edge, numbered in sorted
+        edge order.  Positions rather than the ints 1 << i, which would
+        take space quadratic in the edge count."""
+        return {e: i for i, e in enumerate(sorted(self._c_edges))}
 
     def c_mask(self, edges: Iterable[Edge]) -> int:
-        """The bitmask of distinct controllable edges."""
-        return sum(map(self.c_bit.__getitem__, edges))
+        """The bitmask of controllable edges."""
+        bit, mask = self.c_bit, 0
+        for e in edges:
+            mask |= 1 << bit[e]
+        return mask
 
     @cached_property
     def terminals(self) -> frozenset[str]:
@@ -369,13 +374,16 @@ class PlantIndex:
         while stack:
             state, labels, used = stack.pop()
             if state in terminals:
-                used |= bit((state, state), 0)
+                i = bit((state, state))
+                if i is not None:
+                    used |= 1 << i
                 lasso = canonical(Lasso(labels, (labeling.get(state, empty),)))
                 rows.append(PathRow(state, used, lasso))
                 continue
             here = labels + (labeling.get(state, empty),)
             for nxt in adj[state]:
-                stack.append((nxt, here, used | bit((state, nxt), 0)))
+                i = bit((state, nxt))
+                stack.append((nxt, here, used if i is None else used | 1 << i))
         return tuple(rows)
 
     def surviving(self, removed: int) -> Iterator[PathRow]:

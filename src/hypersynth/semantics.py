@@ -15,18 +15,30 @@ that wraps bit S* into bit n-1, Eventually/Globally are closed forms
 greatest fixed point, at most n rounds on whole ints.
 
 The same loop runs a batch (:class:`BodyBatch`), the one evaluator of the
-innermost quantifier: the T traces of a list side by side in one int, one
-block of n bits per trace, with (S*, P*) the joint shape of the whole
-list, so one body pass decides a tuple prefix for all T traces.  The
-batched variable's atoms are the traces' masks concatenated; a fixed
+innermost run of like quantifiers (all universal or all existential): the
+last w variables over a sorted list of T traces, laid out as a grid in one
+int of T^w blocks of n bits, with (S*, P*) the joint shape of the whole
+list.  Block b holds the tuple whose base-T digits are b, in row-major
+order, which is the lexicographic order of a loop over the list, so one
+body pass decides a tuple prefix for every suffix tuple at once (the
+tuples of a self-composition, after Finkbeiner, Rabe & Sanchez, CAV 2015,
+each labelled as above).  w is the widest grid within the horizon.  The
+atoms of the variable at grid depth d repeat each trace's mask over its
+T^(w-1-d) consecutive blocks (a multiply by a short repunit), join the T
+rows pairwise and tile the pattern T^d times by shift-or doubling; a fixed
 variable's atom is its mask times the repunit ``rep`` (bit 0 of every
 block).  Boolean connectives are unchanged; X is ``((v >> 1) & keep) |
 ((v << n-1-S*) & wrap)``, where ``wrap`` is the top bit of every block and
 ``keep`` the other bits, so no bit crosses a block boundary; F and G fill
 each block towards bit 0 in log n shift steps and set the loop of every
 block whose loop has a bit; U and R iterate as above.  ``root & rep``
-holds one bit per trace.  The batch itself decides whether the whole list
+holds one bit per suffix tuple.  The batch itself decides whether a grid
 fits, and otherwise runs eval_body, the T = 1 case, tuple by tuple.
+
+A tuple's verdict does not depend on the rest of the list, so one batch
+over a plant's traces judges every pruning of it (:func:`eval_batch`):
+the pruning's traces are the range of the outer variables and a grid mask
+for the rest.  :func:`eval_quantified_witness` is the whole-list case.
 
 Model checking a plant reduces to quantifier enumeration over its trace
 set: exact for tree/acyclic frames, bounded (and flagged as such) for
@@ -36,9 +48,8 @@ general frames.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from math import lcm
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import HorizonExceeded, UnboundVariable
 from .formula import (
@@ -59,7 +70,7 @@ from .formula import (
 from .plant import Lasso, Plant, pruned_traces, sort_lassos
 
 TraceAssignment = Mapping[str, Lasso]
-Prefix = tuple[Lasso, ...]
+Indices = tuple[int, ...]  # traces named by their index in a list
 
 DEFAULT_HORIZON = 10**6
 
@@ -196,23 +207,47 @@ def eval_body(
 _MAX_PERIOD_STRETCH = 64
 
 
-class BodyBatch:
-    """The innermost quantifier of a formula over a sorted trace list: the
-    body's verdict for each trace of the list bound to the last variable,
-    the other variables fixed by a prefix tuple in prefix order.
+def _tile(x: int, width: int, times: int) -> int:
+    """x repeated `times` times, one copy every `width` bits, by shift-or
+    doubling (no multiply by a long repunit)."""
+    out = shift = 0
+    while times:
+        if times & 1:
+            out |= x << shift
+            shift += width
+        times >>= 1
+        if times:
+            x |= x << width
+            width <<= 1
+    return out
 
-    When the whole list fits (``fits``: it is nonempty, len(traces) * n *
-    size is within the horizon, and P* is at most _MAX_PERIOD_STRETCH times
-    the longest loop), one pass answers for every trace of a prefix: block
-    i of n = S*+P* bits holds trace i, (S*, P*) the joint shape of the
-    whole list (unrolling a lasso keeps its truth at position 0, so one
-    shape serves every tuple).  Otherwise eval_body answers one tuple at a
-    time, lazily and in list order, so HorizonExceeded is raised for the
-    same inputs and at the same tuple as by a loop over eval_body: a list
+
+class BodyBatch:
+    """The innermost run of like quantifiers of a formula (all universal
+    or all existential) over a sorted trace list: the body's verdict for
+    every tuple of the list's traces bound to the last w variables, the
+    other variables fixed by a prefix tuple in prefix order.
+
+    The grid width w is the largest, at most the run's length, for which
+    T^w * n * size is within the horizon (T traces, n = S*+P* with (S*,
+    P*) the joint shape of the whole list: unrolling a lasso keeps its
+    truth at position 0, so one shape serves every tuple), provided P* is
+    at most _MAX_PERIOD_STRETCH times the longest loop.  Then one pass
+    answers for all T^w suffix tuples: block b of n bits holds the tuple
+    whose base-T digits are b, in row-major order, which is the
+    lexicographic order of a loop over the list.  When no width fits
+    (``fits`` false), eval_body answers one tuple of the last variable at
+    a time, lazily and in list order, so HorizonExceeded is raised for the
+    same inputs and at the same tuple as by a loop over eval_body: a grid
     that fits has no tuple whose own n * size exceeds the horizon.
 
-    A `memo` dict, when given, keeps the answers for callers that ask
-    again: the bits of the whole list by prefix, or a verdict by tuple.
+    Traces are named by their list index: a prefix, a suffix and a tuple
+    are tuples of indices.  A tuple's verdict does not depend on the other
+    traces of the list, so one batch over a plant's traces serves every
+    pruning of it: a subset is the `among` of :meth:`first` (see
+    :meth:`subset`).  A `memo` dict, when given, keeps the answers for
+    callers that ask again: the grid bits by prefix, or a verdict by
+    tuple.
     """
 
     def __init__(
@@ -224,95 +259,144 @@ class BodyBatch:
     ):
         self.f = f
         self.atoms, self.code, size = f.body.program
-        *self.names, self.var = f.variables
+        quants = [q for q, _ in f.prefix]
+        self.exists = [q is Quantifier.EXISTS for q in quants]
+        self.universal = not any(self.exists)
         self.traces = traces
         self.horizon = horizon
         self.s, p = _joint_shape(traces)
-        self.n = n = self.s + p
-        longest = max((len(t.loop) for t in traces), default=1)
-        self.fits = (
-            0 < len(traces) * n * size <= horizon
-            and p <= _MAX_PERIOD_STRETCH * longest
-        )
-        self.layout = _layout(self.s, n, len(traces)) if self.fits else None
-        self.rep = self.layout[1] if self.fits else 0
+        self.n = self.s + p
+        run = 0
+        while run < len(quants) and quants[-1 - run] is quants[-1]:
+            run += 1
+        self.width = w = self._width(run, p, size)
+        self.fits = w > 0
+        # variables enumerated outside the batch, by prefix tuples
+        self.outer = len(quants) - (w or 1)
+        self.names = f.variables[: self.outer]
+        self.depth = {v: d for d, v in enumerate(f.variables[self.outer :])}
+        self.layout = _layout(self.s, self.n, len(traces) ** w) if w else None
+        self.rep = self.layout[1] if w else 0
         self.memo = memo
-        self._stacked: dict[tuple[str, ...], list[int]] = {}
+        self._stacked: dict[tuple[tuple[str, ...], int], list[int]] = {}
 
-    @cached_property
-    def position(self) -> dict[Lasso, int]:
-        return {t: i for i, t in enumerate(self.traces)}
+    def _width(self, run: int, p: int, size: int) -> int:
+        """The widest grid of at most run variables within the horizon,
+        or 0 when none fits."""
+        t = len(self.traces)
+        longest = max((len(x.loop) for x in self.traces), default=1)
+        if not t or p > _MAX_PERIOD_STRETCH * longest:
+            return 0
+        w, cells = 0, self.n * size
+        while w < run and cells * t <= self.horizon:
+            w, cells = w + 1, cells * t
+        return w
 
-    def first(self, prefix: Prefix, value: bool, among=None) -> Optional[int]:
-        """The lowest list index of a trace whose verdict after prefix is
-        value, searched among a :meth:`subset` when one is given; None when
-        there is none."""
+    def first(self, prefix: Indices, value: bool, among=None) -> Optional[Indices]:
+        """The first suffix tuple, in lexicographic order, whose verdict
+        after prefix is value, searched among a :meth:`subset` when one is
+        given; None when there is none."""
         if self.fits:
             bits = self._bits(prefix)
             hits = bits if value else self.rep ^ bits
             if among is not None:
                 hits &= among
-            return ((hits & -hits).bit_length() - 1) // self.n if hits else None
+            if not hits:
+                return None
+            b = ((hits & -hits).bit_length() - 1) // self.n
+            if self.width == 1:
+                return (b,)
+            t, suffix = len(self.traces), []
+            for _ in range(self.width):
+                b, i = divmod(b, t)
+                suffix.append(i)
+            return tuple(reversed(suffix))
         for i in range(len(self.traces)) if among is None else among:
             if self._verdict(prefix, i) is value:
-                return i
+                return (i,)
         return None
 
-    def holds(self, prefix: Prefix, trace: Lasso) -> bool:
-        """The verdict of one trace of the list after prefix."""
-        i = self.position[trace]
+    def holds(self, prefix: Indices, i: int) -> bool:
+        """The verdict of trace i bound to the last variable after prefix,
+        in a grid of width 1 (an E*A prefix)."""
         if self.fits:
             return bool(self._bits(prefix) >> i * self.n & 1)
         return self._verdict(prefix, i)
 
-    def subset(self, members: Iterable[Lasso]):
-        """Traces of the list, as the `among` of :meth:`first`."""
-        at = sorted(self.position[t] for t in members)
-        return sum(1 << i * self.n for i in at) if self.fits else at
+    def subset(self, members: Iterable[int]):
+        """The traces of the given indices, as the `among` of
+        :meth:`first`: the grid blocks whose every trace is a member (the
+        AND of each depth's placement), or the indices, sorted."""
+        if not self.fits:
+            return sorted(members)
+        col = [0] * len(self.traces)
+        for i in members:
+            col[i] = 1
+        among = self.rep
+        for d in range(self.width):
+            among &= self._place(col, d)
+        return among
 
-    def _verdict(self, prefix: Prefix, i: int) -> bool:
-        chosen = prefix + (self.traces[i],)
+    def _verdict(self, prefix: Indices, i: int) -> bool:
+        chosen = prefix + (i,)
         got = None if self.memo is None else self.memo.get(chosen)
         if got is None:
-            got = eval_body(self.f.body, dict(zip(self.f.variables, chosen)), self.horizon)
+            asg = dict(zip(self.f.variables, [self.traces[j] for j in chosen]))
+            got = eval_body(self.f.body, asg, self.horizon)
             if self.memo is not None:
                 self.memo[chosen] = got
         return got
 
-    def _bits(self, prefix: Prefix) -> int:
-        """Bit 0 of every block: the verdicts of the whole list."""
+    def _bits(self, prefix: Indices) -> int:
+        """Bit 0 of every block: the verdicts of every suffix tuple."""
         memo = self.memo
         bits = None if memo is None else memo.get(prefix)
         if bits is not None:
             return bits
-        n, rep = self.n, self.rep
+        n, rep, depth, traces = self.n, self.rep, self.depth, self.traces
         fixed = dict(zip(self.names, prefix))
         vals: list[int] = []
         for var, props in self.atoms:
-            if var == self.var:
-                vals += self._stack(props)
+            d = depth.get(var)
+            if d is not None:
+                vals += self._stack(props, d)
             else:
-                vals += [m * rep for m in fixed[var].masks(props, n)]
+                vals += [m * rep for m in traces[fixed[var]].masks(props, n)]
         bits = _run(self.code, vals, self.s, n, self.layout) & rep
         if memo is not None:
             memo[prefix] = bits
         return bits
 
-    def _stack(self, props: tuple[str, ...]) -> list[int]:
-        got = self._stacked.get(props)
+    def _stack(self, props: tuple[str, ...], d: int) -> list[int]:
+        """The grid atoms of a variable at depth d, one per proposition."""
+        got = self._stacked.get((props, d))
         if got is None:
             n = self.n
-            got = []
-            for col in zip(*[t.masks(props, n) for t in self.traces]):
-                col, w = list(col), n
-                while len(col) > 1:  # pair up neighbours, halving the list
-                    if len(col) % 2:
-                        col.append(0)
-                    col = [lo | hi << w for lo, hi in zip(col[::2], col[1::2])]
-                    w <<= 1
-                got.append(col[0])
-            self._stacked[props] = got
+            got = [
+                self._place(col, d)
+                for col in zip(*[t.masks(props, n) for t in self.traces])
+            ]
+            self._stacked[props, d] = got
         return got
+
+    def _place(self, col: Sequence[int], d: int) -> int:
+        """One n-bit word per trace laid out at grid depth d: block b gets
+        the word of b's digit d.  Each word is repeated over its
+        T^(w-1-d) consecutive blocks by a multiply with a short repunit,
+        the T rows are joined pairwise, and the whole pattern is tiled
+        T^d times."""
+        n, t = self.n, len(self.traces)
+        row = n * t ** (self.width - 1 - d)
+        if row > n:
+            rep = ((1 << row) - 1) // ((1 << n) - 1)
+            col = [x * rep for x in col]
+        w = row
+        while len(col) > 1:  # pair up neighbours, halving the list
+            if len(col) % 2:
+                col = [*col, 0]
+            col = [lo | hi << w for lo, hi in zip(col[::2], col[1::2])]
+            w <<= 1
+        return _tile(col[0], row * t, t**d)
 
 
 def eval_quantified(
@@ -324,8 +408,8 @@ def eval_quantified(
     """Decide trace_set |= f by quantifier enumeration.
 
     `cache` optionally memoizes body evaluations across calls; it holds
-    one memo per trace set, since a batch's result depends on the whole
-    set, so callers that check many sets may share one dict.
+    one memo per trace set, since a batch's bits are positions in its own
+    list, so callers that check many sets may share one dict.
     """
     holds, _ = eval_quantified_witness(f, trace_set, horizon, cache)
     return holds
@@ -341,38 +425,53 @@ def eval_quantified_witness(
     verdict also returns the falsifying assignment tuple (in prefix order);
     any trace superset containing that tuple fails as well.
 
-    The innermost quantifier is one :class:`BodyBatch` query per tuple of
-    outer traces."""
-    quants = tuple(q for q, _ in f.prefix)
-    if not quants:
-        holds = eval_body(f.body, {}, horizon)
-        return holds, None if holds else ()
+    The whole-list case of :func:`eval_batch`, over one
+    :class:`BodyBatch` of the sorted trace set."""
     memo = None if cache is None else cache.setdefault(frozenset(trace_set), {})
-    batch = BodyBatch(f, sort_lassos(trace_set), horizon, memo)
-    holds, witness = _enumerate(quants, batch, ())
-    if holds or not all(q is Quantifier.FORALL for q in quants):
+    return eval_batch(BodyBatch(f, sort_lassos(trace_set), horizon, memo))
+
+
+def eval_batch(
+    batch: BodyBatch, trace_set: Optional[frozenset[Lasso] | set[Lasso]] = None
+) -> tuple[bool, Optional[tuple[Lasso, ...]]]:
+    """eval_quantified_witness of the batch's formula on trace_set, a
+    subset of the batch's list (the whole list when None): the outer
+    variables range over the subset in list order, and the rest is one
+    :meth:`BodyBatch.first` query among the subset per prefix tuple.  The
+    verdict, the witness and any HorizonExceeded are those of a batch over
+    trace_set alone, so one batch, and its memo, judges every pruning of a
+    plant."""
+    f = batch.f
+    if not f.prefix:
+        holds = eval_body(f.body, {}, batch.horizon)
+        return holds, None if holds else ()
+    outer, among = range(len(batch.traces)), None
+    if trace_set is not None and len(trace_set) < len(batch.traces):
+        outer = [i for i, t in enumerate(batch.traces) if t in trace_set]
+        among = batch.subset(outer)
+    holds, witness = _enumerate(batch, (), outer, among)
+    if holds or not batch.universal:
         return holds, None
-    return False, witness
+    return False, tuple([batch.traces[i] for i in witness])
 
 
 def _enumerate(
-    quants: tuple[Quantifier, ...],
-    batch: BodyBatch,
-    chosen: tuple[Lasso, ...],
-) -> tuple[bool, Optional[tuple[Lasso, ...]]]:
+    batch: BodyBatch, chosen: Indices, outer: Iterable[int], among
+) -> tuple[bool, Optional[Indices]]:
     """Truth of the quantifiers after the chosen traces, and the first
     falsifying full tuple when it fails under universal choices only.  The
-    last quantifier is one batch query for the first trace that decides
-    it.  A module function rather than a recursive closure, which would be
-    a reference cycle left to the cyclic collector on every call."""
-    exists = quants[len(chosen)] is Quantifier.EXISTS
-    if len(chosen) == len(quants) - 1:
-        i = batch.first(chosen, exists)
-        if i is None:
+    variables after the outer ones are one batch query for the first
+    suffix tuple that decides them.  A module function rather than a
+    recursive closure, which would be a reference cycle left to the
+    cyclic collector on every call."""
+    exists = batch.exists[len(chosen)]
+    if len(chosen) == batch.outer:
+        suffix = batch.first(chosen, exists, among)
+        if suffix is None:
             return not exists, None
-        return exists, None if exists else chosen + (batch.traces[i],)
-    for t in batch.traces:
-        ok, witness = _enumerate(quants, batch, chosen + (t,))
+        return exists, None if exists else chosen + suffix
+    for i in outer:
+        ok, witness = _enumerate(batch, chosen + (i,), outer, among)
         if ok is exists:
             return ok, witness
     return not exists, None

@@ -27,9 +27,16 @@ Four routes:
   nodes need some child).
 * synth_tree_marking - trees with an AE* prefix: mark all leaves, then
   repeatedly unmark leaves whose universal instantiation has no
-  existential witnesses among the marked leaves; on stabilization prune
+  existential witnesses among the marked leaves (one batch query per leaf
+  when the batch's grid holds every existential); on stabilization prune
   to the marked branches, re-checking that uncontrollable transitions do
   not force unmarked leaves back in.
+
+Both searches build one :class:`~hypersynth.semantics.BodyBatch` per
+synthesis, over the full plant's traces, and judge each pruning inside it
+(:func:`~hypersynth.semantics.eval_batch`): a pruning's traces are a
+subset of the full plant's (exact paths, or lassos under the same bounds),
+so a tuple prefix is evaluated once per synthesis, not once per pruning.
 
 Both tree routes prune with one walk (:func:`_prune`): given a leaf test,
 it keeps every uncontrollable child and every keepable controllable
@@ -69,7 +76,7 @@ from .plant import (
     sort_lassos,
     validate,
 )
-from .semantics import DEFAULT_HORIZON, BodyBatch, eval_quantified_witness
+from .semantics import DEFAULT_HORIZON, BodyBatch, eval_batch
 
 DEFAULT_MAX_CANDIDATE_BITS = 24
 
@@ -202,8 +209,9 @@ def synth_generic(
     Searches valid prunings in decreasing retained-set size; the first
     passing candidate (which is the most permissive one) wins.  For
     existential prefixes only the full plant is relevant: pruning shrinks
-    the trace set, which can never help an E* formula.  Universal prefixes
-    on tree/acyclic frames take the core-guided search of
+    the trace set, which can never help an E* formula.  Every candidate is
+    judged inside one batch over the full plant's traces.  Universal
+    prefixes on tree/acyclic frames take the core-guided search of
     :func:`_min_removal` instead of the candidate walk.  The candidate
     space guard refuses searches beyond 2**max_candidate_bits candidates
     (pass None to disable).
@@ -223,16 +231,20 @@ def synth_generic(
     if kind is FragmentKind.A_STAR and plant.index.frame is not FrameKind.GENERAL:
         return _min_removal(plant, f, horizon)
 
+    # every candidate's traces are a subset of the full plant's, judged in
+    # one batch over those
+    full, exact = pruned_traces(plant, bounds=bounds)
+    batch = BodyBatch(f, sort_lassos(full), horizon, {})
     # a failed purely universal candidate leaves its falsifying tuple as a
     # core (other prefixes leave none); a later trace set holding a core
     # fails too
     cores: list[frozenset[Lasso]] = []
-    for removed in _removals(plant):  # never empty: the full plant comes first
+    for removed in _removals(plant):  # the full plant comes first
         retained = plant.c_edges - removed
-        traces, exact = pruned_traces(plant, retained, bounds)
+        traces = pruned_traces(plant, retained, bounds)[0] if removed else full
         if any(core <= traces for core in cores):
             continue
-        ok, witness = eval_quantified_witness(f, traces, horizon)
+        ok, witness = eval_batch(batch, traces)
         if ok:
             return SynthesisResult(
                 Verdict.REALIZABLE, ControllerSolution(retained), exact
@@ -247,10 +259,10 @@ def synth_generic(
 
 
 def _bits(mask: int) -> Iterator[int]:
-    """The set bits of mask, lowest first, each as an int of its own."""
+    """The positions of the set bits of mask, lowest first."""
     while mask:
         low = mask & -mask
-        yield low
+        yield low.bit_length() - 1
         mask ^= low
 
 
@@ -269,11 +281,14 @@ def _min_removal(plant: Plant, f: Formula, horizon: int) -> SynthesisResult:
     tuple (a core) lies in them, and either passes (the least removal, so
     a maximum witness) or yields a new clause.  An edge is not removed
     when it is its state's last way out (deadlock freedom), and an empty
-    clause, or no set left to expand, means Unrealizable."""
+    clause, or no set left to expand, means Unrealizable.  Every pruning
+    is judged inside one batch over the full plant's traces."""
     idx = plant.index
+    edges = list(idx.c_bit)  # by bit position
+    batch = BodyBatch(f, sort_lassos(pruned_traces(plant)[0]), horizon, {})
     removable = 0
-    # per edge bit, the controllable out-edges of its source when the
-    # source has no uncontrollable way out: they may not all go
+    # per edge bit position, the controllable out-edges of its source when
+    # the source has no uncontrollable way out: they may not all go
     last_way: dict[int, int] = {}
     for s, succ in idx.c_succ.items():
         out = idx.c_mask((s, t) for t in succ)
@@ -290,11 +305,11 @@ def _min_removal(plant: Plant, f: Formula, horizon: int) -> SynthesisResult:
         for removed in level:
             clause = next((c for c in clauses if not c & removed), None)
             if clause is None:
-                retained = frozenset([e for e, b in idx.c_bit.items() if not b & removed])
+                retained = plant.c_edges.difference([edges[i] for i in _bits(removed)])
                 traces, _ = pruned_traces(plant, retained)
                 core = next((c for c in cores if c <= traces), None)
                 if core is None:
-                    ok, witness = eval_quantified_witness(f, traces, horizon)
+                    ok, witness = eval_batch(batch, traces)
                     if ok:
                         solution = ControllerSolution(retained)
                         return SynthesisResult(Verdict.REALIZABLE, solution, True)
@@ -304,9 +319,9 @@ def _min_removal(plant: Plant, f: Formula, horizon: int) -> SynthesisResult:
                 if not clause:
                     return SynthesisResult(Verdict.UNREALIZABLE, None, True)
                 clauses.append(clause)
-            for b in _bits(clause):
-                child = removed | b
-                way = last_way.get(b)
+            for i in _bits(clause):
+                child = removed | 1 << i
+                way = last_way.get(i)
                 if child not in seen and (way is None or child & way != way):
                     seen.add(child)
                     following.append(child)
@@ -407,10 +422,10 @@ def _prune(plant: Plant, leaf_ok) -> Optional[tuple[list[str], frozenset[Edge]]]
 
 def _tree_leaves(
     plant: Plant, f: Formula, kind: FragmentKind
-) -> tuple[dict[str, Lasso], list[Lasso]]:
+) -> tuple[dict[str, int], list[Lasso]]:
     """The tree routes' shared check and set-up: raises FrameMismatch off
-    trees and FragmentMismatch unless f is of the given kind; returns the
-    trace of every leaf and the distinct leaf traces, sorted."""
+    trees and FragmentMismatch unless f is of the given kind; returns each
+    leaf's index among the distinct leaf traces, and those traces, sorted."""
     frame = classify_frame(plant)
     if frame is not FrameKind.TREE:
         raise FrameMismatch("tree", frame.value)
@@ -418,7 +433,9 @@ def _tree_leaves(
     if fragment.kind is not kind:
         raise FragmentMismatch(kind.value, str(fragment))
     leaf_trace = {row.terminal: row.lasso for row in plant.index.paths}
-    return leaf_trace, sort_lassos(set(leaf_trace.values()))
+    traces = sort_lassos(set(leaf_trace.values()))
+    position = {t: i for i, t in enumerate(traces)}
+    return {s: position[t] for s, t in leaf_trace.items()}, traces
 
 
 # --- specialized tree algorithms ----------------------------------------------
@@ -439,20 +456,20 @@ def synth_tree_exists_forall(
     :class:`BodyBatch` over the leaf traces, kept for the current
     assignment only.
     """
-    leaf_trace, traces = _tree_leaves(plant, f, FragmentKind.E_STAR_A)
+    leaf, traces = _tree_leaves(plant, f, FragmentKind.E_STAR_A)
     memo: dict = {}  # the current witness's answers, which every leaf reads
     batch = BodyBatch(f, traces, horizon, memo)
 
-    for witness in product(traces, repeat=len(f.variables) - 1):
+    for witness in product(range(len(traces)), repeat=len(f.variables) - 1):
         memo.clear()
-        if not all(batch.holds(witness, t) for t in set(witness)):
+        if not all(batch.holds(witness, i) for i in set(witness)):
             continue
-        pruning = _prune(plant, lambda s: batch.holds(witness, leaf_trace[s]))
+        pruning = _prune(plant, lambda s: batch.holds(witness, leaf[s]))
         if pruning is None:
             continue
         leaves, retained = pruning
-        kept = {leaf_trace[s] for s in leaves}
-        if all(t in kept for t in witness):
+        kept = {leaf[s] for s in leaves}
+        if all(i in kept for i in witness):
             return SynthesisResult(
                 Verdict.REALIZABLE, ControllerSolution(retained), True
             )
@@ -475,16 +492,17 @@ def synth_tree_marking(
     the realizable leaf set coincide (Realizable) or no leaf survives
     (Unrealizable).
     """
-    leaf_trace, leaves = _tree_leaves(plant, f, FragmentKind.A_E_STAR)
-    # the last existential is one batch query over the marked leaves, its
-    # answers kept across rounds
-    batch = BodyBatch(f, leaves, horizon, {})
+    leaf, traces = _tree_leaves(plant, f, FragmentKind.A_E_STAR)
+    # the existentials in the batch's grid are one query among the marked
+    # leaves, its answers kept across rounds; the others are enumerated
+    batch = BodyBatch(f, traces, horizon, {})
+    outside = batch.outer - 1
 
-    def supported(t: Lasso, marked: list[Lasso], among) -> bool:
-        inner = product(marked, repeat=len(f.variables) - 2)
+    def supported(t: int, marked: list[int], among) -> bool:
+        inner = product(marked, repeat=outside)
         return any(batch.first((t, *e), True, among) is not None for e in inner)
 
-    marked = leaves
+    marked = list(range(len(traces)))  # leaf traces by index
     while True:
         # marking rounds: greatest set of traces that support each other
         while True:
@@ -496,16 +514,16 @@ def synth_tree_marking(
         if not marked:
             return SynthesisResult(Verdict.UNREALIZABLE, None, True)
         marked_set = set(marked)
-        pruning = _prune(plant, lambda s: leaf_trace[s] in marked_set)
+        pruning = _prune(plant, lambda s: leaf[s] in marked_set)
         if pruning is None:
             return SynthesisResult(Verdict.UNREALIZABLE, None, True)
         kept_leaves, retained = pruning
-        kept = {leaf_trace[s] for s in kept_leaves}
+        kept = {leaf[s] for s in kept_leaves}
         if kept == marked_set:
             return SynthesisResult(
                 Verdict.REALIZABLE, ControllerSolution(retained), True
             )
-        marked = sort_lassos(kept)
+        marked = sorted(kept)
 
 
 def dispatch(

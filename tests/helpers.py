@@ -15,6 +15,7 @@ from itertools import product
 from math import gcd
 from typing import Optional, Sequence
 
+from hypersynth.errors import HorizonExceeded
 from hypersynth.formula import (
     And,
     Atom,
@@ -420,6 +421,27 @@ def random_general_plant(
         u_edges=frozenset(edges) - c_edges,
         labeling=labels,
     )
+
+
+def horizon_outcome(call):
+    """The call's result, or HorizonExceeded with its arguments."""
+    try:
+        return call()
+    except HorizonExceeded as exc:
+        return ("HorizonExceeded", exc.args)
+
+
+def random_retained(rng: random.Random, plant: Plant) -> frozenset:
+    """A random subset of the controllable edges that leaves every state
+    an outgoing edge."""
+    idx = plant.index
+    retained = set()
+    for s, succ in sorted(idx.c_succ.items()):
+        keep = [t for t in succ if rng.random() < 0.5]
+        if not keep and s not in idx.u_succ:
+            keep = [rng.choice(succ)]
+        retained.update((s, t) for t in keep)
+    return frozenset(retained)
 
 
 def random_horn_cnf(rng: random.Random, max_vars: int = 4, max_clauses: int = 4) -> CnfInput:

@@ -38,6 +38,7 @@ from helpers import (
     random_acyclic_plant,
     random_general_plant,
     random_lasso,
+    random_retained,
     random_tree_plant,
     unroll_equal,
 )
@@ -276,25 +277,12 @@ def test_lassos_monotone_in_bounds():
 # --- pruned trace sets -----------------------------------------------------
 
 
-def _random_retained(rng, plant):
-    """A random subset of the controllable edges that leaves every state
-    an outgoing edge."""
-    idx = plant.index
-    retained = set()
-    for s, succ in idx.c_succ.items():
-        keep = [t for t in succ if rng.random() < 0.5]
-        if not keep and s not in idx.u_succ:
-            keep = [rng.choice(succ)]
-        retained.update((s, t) for t in keep)
-    return frozenset(retained)
-
-
 def test_pruned_traces_are_the_pruned_plants_traces():
     rng = random.Random(21)
     for i in range(300):
         gen = random_tree_plant if i % 2 else random_acyclic_plant
         plant = gen(rng)
-        retained = _random_retained(rng, plant)
+        retained = random_retained(rng, plant)
         pruned = apply_solution(plant, ControllerSolution(retained))
         assert pruned_traces(plant, retained) == (enumerate_traces(pruned), True)
 
@@ -307,7 +295,7 @@ def test_pruned_traces_on_general_frames_are_bounded_lassos():
         if not plant.c_edges or classify_frame(plant) is not FrameKind.GENERAL:
             continue
         tested += 1
-        retained = _random_retained(rng, plant)
+        retained = random_retained(rng, plant)
         bounds = rng.choice([None, (rng.randint(0, 3), rng.randint(1, 3))])
         pruned = apply_solution(plant, ControllerSolution(retained))
         expected = enumerate_lassos(pruned, *(bounds or default_bounds(plant)))

@@ -43,6 +43,7 @@ from hypersynth.synth import (
 )
 
 from helpers import (
+    horizon_outcome,
     naive_eval,
     random_body,
     random_lasso,
@@ -389,56 +390,65 @@ def _per_tuple(f: Formula, trace_set, horizon: int = 10**6):
     return holds, witness if universal and not holds else None
 
 
-def _outcome(call):
-    try:
-        return call()
-    except HorizonExceeded as exc:
-        return ("HorizonExceeded", exc.args)
-
-
 def test_batch_bits_match_eval_body_per_tuple():
-    # both queries, over the whole list and over a subset, against
-    # eval_body on each tuple: once with the whole list in one batch, and
-    # once with a horizon that admits the widest tuple but not the whole
-    # list, so the batch answers tuple by tuple
+    # first(), over the whole list and among a subset, and holds(), against
+    # eval_body on each tuple, for universal and existential runs of 1-3
+    # variables, after an outer variable of the other kind or none: with
+    # the widest grid, with a horizon that admits only a narrower grid, and
+    # with one that admits the widest tuple but no grid, so the batch
+    # answers tuple by tuple
     rng = random.Random(84)
-    names = ("p", "q", "r")
-    by_tuple = 0
+    names = ("o", "p", "q", "r")
+    narrower = by_tuple = 0
     for _ in range(150):
-        k = rng.randint(1, 3)
+        run = rng.randint(1, 3)
+        inner = rng.choice((A, E))
+        quants = (E if inner is A else A,) * rng.randint(0, 1) + (inner,) * run
+        k = len(quants)
         body = random_body(rng, names[:k], budget=rng.randint(1, 8))
         if rng.random() < 0.3:
             body = negate_nnf(desugar(body))  # Release nodes
-        f = Formula(tuple((A, v) for v in names[:k]), body)
+        f = Formula(tuple(zip(quants, names)), body)
         traces = sort_lassos(_random_trace_set(rng))
+        cells = _joint_length(dict(enumerate(traces))) * f.body.program.size
         widest = max(
             _joint_length(dict(zip(names, chosen)))
             for chosen in itertools.product(traces, repeat=k)
         ) * f.body.program.size
-        for horizon in (10**9, widest):
+        horizons = [(10**9, run)]
+        if run > 1 and len(traces) > 1:
+            w = rng.randint(1, run - 1)
+            horizons.append((cells * len(traces) ** w, w))
+        horizons.append((widest, 0))
+        for horizon, width in horizons:
             memo = {} if rng.random() < 0.5 else None
             batch = BodyBatch(f, traces, horizon, memo)
-            if horizon == widest:
+            if width == 0:
                 if batch.fits:
                     continue  # one trace, or no tuple narrower than the list
                 by_tuple += 1
             else:
-                assert batch.fits
+                assert batch.width == width
+                narrower += width < run
+            # traces by list index; m, the length of an answer's suffix
+            m = k - batch.outer
+            suffixes = list(itertools.product(range(len(traces)), repeat=m))
             for _ in range(3):
-                prefix = tuple(rng.choice(traces) for _ in range(k - 1))
+                prefix = tuple(rng.randrange(len(traces)) for _ in range(batch.outer))
                 expected = [
-                    eval_body(body, dict(zip(names, prefix + (t,)))) for t in traces
+                    eval_body(body, dict(zip(names, [traces[i] for i in prefix + suffix])))
+                    for suffix in suffixes
                 ]
-                members = rng.sample(traces, rng.randint(0, len(traces)))
+                members = rng.sample(range(len(traces)), rng.randint(0, len(traces)))
                 among = batch.subset(members)
-                picked = sorted(traces.index(t) for t in members)
                 for value in (True, False):
-                    hits = [i for i, v in enumerate(expected) if v is value]
-                    assert batch.first(prefix, value) == min(hits, default=None)
-                    hits = [i for i in picked if expected[i] is value]
-                    assert batch.first(prefix, value, among) == min(hits, default=None)
-                assert [batch.holds(prefix, t) for t in traces] == expected
-    assert by_tuple > 50
+                    hits = [s for s, v in zip(suffixes, expected) if v is value]
+                    assert batch.first(prefix, value) == next(iter(hits), None)
+                    hits = [s for s in hits if set(s) <= set(members)]
+                    assert batch.first(prefix, value, among) == next(iter(hits), None)
+                if m == 1:
+                    assert [batch.holds(prefix, i) for i in range(len(traces))] == expected
+    assert narrower > 30 and by_tuple > 50
 
 
 def test_quantified_witness_matches_per_tuple_loop():
@@ -472,8 +482,8 @@ def test_horizon_guard_is_per_tuple_for_batches():
             for chosen in itertools.product(traces, repeat=len(names))
         ) * f.body.program.size
         for horizon in (widest, widest - 1, rng.randint(1, widest)):
-            got = _outcome(lambda: eval_quantified_witness(f, traces, horizon))
-            assert got == _outcome(lambda: _per_tuple(f, traces, horizon))
+            got = horizon_outcome(lambda: eval_quantified_witness(f, traces, horizon))
+            assert got == horizon_outcome(lambda: _per_tuple(f, traces, horizon))
         assert eval_quantified(f, traces, widest) == eval_quantified(f, traces)
         if quants == (A,) * len(quants) and isinstance(body, Or):
             with pytest.raises(HorizonExceeded):

@@ -12,11 +12,24 @@ from hypersynth.errors import (
 )
 from hypersynth.formula import Formula, Quantifier, TrueBool
 from hypersynth.parser import parse
-from hypersynth.plant import FrameKind, Plant, classify_frame, enumerate_traces
+from hypersynth.plant import (
+    FrameKind,
+    Plant,
+    classify_frame,
+    enumerate_traces,
+    pruned_traces,
+    sort_lassos,
+)
 from hypersynth.reductions import decode_assignment, parse_dimacs, threesat_to_instance
 import hypersynth.semantics
 import hypersynth.synth
-from hypersynth.semantics import BodyBatch, check, eval_quantified
+from hypersynth.semantics import (
+    BodyBatch,
+    check,
+    eval_batch,
+    eval_quantified,
+    eval_quantified_witness,
+)
 from hypersynth.synth import (
     ControllerSolution,
     Verdict,
@@ -30,9 +43,11 @@ from hypersynth.synth import (
 
 from helpers import (
     cnf_satisfied,
+    horizon_outcome,
     random_acyclic_plant,
     random_general_plant,
     random_prefix_formula,
+    random_retained,
     random_tree_plant,
     synth_brute,
 )
@@ -327,28 +342,71 @@ def test_dispatch_sound_on_realizable():
 
 
 class _Unbatched(BodyBatch):
+    """A batch of width at most 1: the last variable alone in one int, as
+    when no grid covers more of the innermost run."""
+
+    def _width(self, *args) -> int:
+        return min(1, super()._width(*args))
+
+
+class _TupleByTuple(BodyBatch):
     """A batch that never fits, so every caller evaluates tuple by tuple."""
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.fits = False
+    def _width(self, *args) -> int:
+        return 0
 
 
 def test_batched_routes_match_per_tuple_routes(monkeypatch):
-    # every route (generic, E*A, AE*) on trees and DAGs gives the same
-    # verdict and witness with and without the innermost batch
+    # every route (generic, universal search, E*A, AE*) on trees and DAGs
+    # gives the same verdict and witness with the grid, with a batch of
+    # the last variable alone, and tuple by tuple
     rng = random.Random(29)
     cases = []
     for i in range(150):
         grow = random_tree_plant if i % 2 else random_acyclic_plant
         plant = grow(rng, max_states=8, max_c_edges=6)
-        quants = rng.choice(((E, A), (E, E, A), (A, E), (A, E, E), (A, A), (A, E, A)))
+        quants = rng.choice(
+            ((E, A), (E, E, A), (A, E), (A, E, E), (A, A), (A, E, A), (A, A, A))
+        )
         cases.append((plant, random_prefix_formula(rng, quants, budget=5)))
     batched = [dispatch(plant, f) for plant, f in cases]
-    for module in (hypersynth.semantics, hypersynth.synth):
-        monkeypatch.setattr(module, "BodyBatch", _Unbatched)
-    assert [dispatch(plant, f) for plant, f in cases] == batched
+    for narrow in (_Unbatched, _TupleByTuple):
+        for module in (hypersynth.semantics, hypersynth.synth):
+            monkeypatch.setattr(module, "BodyBatch", narrow)
+        assert [dispatch(plant, f) for plant, f in cases] == batched
     assert any(r.realizable for r in batched) and not all(r.realizable for r in batched)
+
+
+def test_prunings_judged_in_the_plants_batch_match_fresh_evaluations():
+    # random prunings of trees, DAGs and general plants, judged inside one
+    # batch over the unpruned plant's traces, its memo shared by all of
+    # them, give the verdict and witness (or HorizonExceeded) of a fresh
+    # evaluation of the pruning's traces; on general frames those bounded
+    # lassos lie among the plant's under the same bounds
+    rng = random.Random(31)
+    shapes = ((A,), (E,), (A, A), (E, E), (A, E), (E, A), (A, A, A), (E, E, E),
+              (A, E, E), (E, A, A), (A, A, E), (E, E, A))
+    general = 0
+    for i in range(240):
+        if i % 3 == 2:
+            plant = random_general_plant(rng, max_states=4, c_frac=0.5)
+        else:
+            grow = random_tree_plant if i % 3 else random_acyclic_plant
+            plant = grow(rng, max_states=8, max_c_edges=6)
+        f = random_prefix_formula(rng, rng.choice(shapes), budget=rng.randint(2, 6))
+        bounds = rng.choice([None, (rng.randint(0, 3), rng.randint(1, 3))])
+        horizon = rng.choice([10**6, rng.randint(20, 400)])
+        full, exact = pruned_traces(plant, bounds=bounds)
+        batch = BodyBatch(f, sort_lassos(full), horizon, {})
+        for _ in range(4):
+            traces, _ = pruned_traces(plant, random_retained(rng, plant), bounds)
+            if not exact:
+                assert traces <= full
+                general += 1
+            assert horizon_outcome(lambda: eval_batch(batch, traces)) == horizon_outcome(
+                lambda: eval_quantified_witness(f, traces, horizon)
+            )
+    assert general > 150
 
 
 def test_generic_search_depth_follows_choices_not_states():
