@@ -12,12 +12,13 @@ Every walk over a body (:func:`compile_body`, :func:`free_vars`,
 :func:`desugar`, :func:`negate_nnf`, the printer) is one loop over
 :func:`post_order`, which lists its nodes operands first without recursing.
 A body compiles once, on first use, to a flat :class:`Program`, which
-:mod:`hypersynth.semantics` evaluates and ``==``/``hash`` compare.
+:mod:`hypersynth.semantics` evaluates and ``==``/``hash`` compare; a
+:class:`Formula` compiles its body when it is built and keeps the program.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from typing import NamedTuple
@@ -126,11 +127,14 @@ class Formula:
 
     Construction enforces that the formula is a sentence: prefix variables
     are pairwise distinct and every trace variable used in the body is
-    bound.
+    bound.  It compiles the body once (:attr:`program`), for that check
+    and for every evaluation of the formula; the program is kept on the
+    formula, so the body's nodes hold their fields only.
     """
 
     prefix: tuple[tuple[Quantifier, str], ...]
     body: Body
+    program: "Program" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "prefix", tuple(self.prefix))
@@ -139,11 +143,12 @@ class Formula:
             if name in seen:
                 raise DuplicateQuantifier(name)
             seen.add(name)
-        for var in sorted(free_vars(self.body)):
+        object.__setattr__(self, "program", compile_body(self.body))
+        for var in sorted(var for var, _ in self.program.atoms):
             if var not in seen:
                 raise UnboundVariable(var)
 
-    @property
+    @cached_property
     def variables(self) -> tuple[str, ...]:
         return tuple(name for _, name in self.prefix)
 

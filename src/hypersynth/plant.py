@@ -87,9 +87,6 @@ class Plant:
     def label(self, state: str) -> Letter:
         return self.labeling.get(state, frozenset())
 
-    def successors(self, state: str) -> list[str]:
-        return list(self.index.adjacency[state])
-
 
 def validate(plant: Plant) -> None:
     """Check the plant invariants; raises on the first violation.
@@ -195,16 +192,6 @@ class Lasso:
             ])
         self._masks[key] = got
         return got
-
-    def prefix(self, n: int) -> tuple[Letter, ...]:
-        return tuple(self.letter_at(i) for i in range(n))
-
-    def suffix(self, n: int) -> "Lasso":
-        """The lasso denoting positions n, n+1, ... of this word."""
-        if n <= len(self.stem):
-            return Lasso(self.stem[n:], self.loop)
-        k = (n - len(self.stem)) % len(self.loop)
-        return Lasso((), self.loop[k:] + self.loop[:k])
 
     def sort_key(self):
         """The canonical order of lassos; see :func:`sort_lassos`."""

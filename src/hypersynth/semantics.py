@@ -14,31 +14,37 @@ that wraps bit S* into bit n-1, Eventually/Globally are closed forms
 ``r | (l & X v)`` up to the least and ``r & (l | X v)`` down to the
 greatest fixed point, at most n rounds on whole ints.
 
-The same loop runs a batch (:class:`BodyBatch`), the one evaluator of the
-innermost run of like quantifiers (all universal or all existential): the
-last w variables over a sorted list of T traces, laid out as a grid in one
-int of T^w blocks of n bits, with (S*, P*) the joint shape of the whole
-list.  Block b holds the tuple whose base-T digits are b, in row-major
-order, which is the lexicographic order of a loop over the list, so one
-body pass decides a tuple prefix for every suffix tuple at once (the
-tuples of a self-composition, after Finkbeiner, Rabe & Sanchez, CAV 2015,
-each labelled as above).  w is the widest grid within the horizon.  The
-atoms of the variable at grid depth d repeat each trace's mask over its
-T^(w-1-d) consecutive blocks (a multiply by a short repunit), join the T
-rows pairwise and tile the pattern T^d times by shift-or doubling; a fixed
-variable's atom is its mask times the repunit ``rep`` (bit 0 of every
-block).  Boolean connectives are unchanged; X is ``((v >> 1) & keep) |
-((v << n-1-S*) & wrap)``, where ``wrap`` is the top bit of every block and
-``keep`` the other bits, so no bit crosses a block boundary; F and G fill
-each block towards bit 0 in log n shift steps and set the loop of every
-block whose loop has a bit; U and R iterate as above.  ``root & rep``
-holds one bit per suffix tuple.  The batch itself decides whether a grid
-fits, and otherwise runs eval_body, the T = 1 case, tuple by tuple.
+The same loop runs a batch (:class:`BodyBatch`), the one evaluator of
+the quantifiers: the last w variables, of any quantifier kind, over a
+sorted list of T traces, laid out as a grid in one int of T^w blocks of n
+bits, with (S*, P*) the joint shape of the whole list.  Block b holds the
+tuple whose base-T digits are b, in row-major order, which is the
+lexicographic order of a loop over the list, so one body pass evaluates
+every suffix tuple of a prefix at once (the tuples of a
+self-composition, after Finkbeiner, Rabe & Sanchez, CAV 2015, each
+labelled as above).  w is the widest grid within the horizon.  The atoms
+of the variable at grid depth d join the T traces' masks one unit
+(T^(w-1-d) blocks) apart, repeat each over its unit by one multiply with
+a short repunit, and tile the pattern T^d times by shift-or doubling; a
+fixed variable's atom is its mask times the repunit ``rep`` (bit 0 of
+every block).  Boolean connectives are unchanged; X is ``((v >> 1) &
+keep) | ((v << n-1-S*) & wrap)``, where ``wrap`` is the top bit of every
+block and ``keep`` the other bits, so no bit crosses a block boundary; F
+and G fill each block towards bit 0 in log n shift steps and set the loop
+of every block whose loop has a bit; U and R iterate as above.  ``root &
+rep`` holds one bit per suffix tuple.  The grid's quantifiers are then
+decided on those bits, innermost first: each level ORs the member units
+of every group of T by shift-or doubling, an existential keeping a group
+where some member holds and a universal one where none fails, so every
+quantifier of the suffix costs a few whole-int operations instead of
+body passes.  The batch itself decides whether a grid fits, and
+otherwise, or for a single trace, runs eval_body, the T = 1 case, tuple
+by tuple.
 
 A tuple's verdict does not depend on the rest of the list, so one batch
 over a plant's traces judges every pruning of it (:func:`eval_batch`):
-the pruning's traces are the range of the outer variables and a grid mask
-for the rest.  :func:`eval_quantified_witness` is the whole-list case.
+the pruning's traces are the range of the outer variables and, per grid
+depth, a mask of the member units for the rest.  :func:`eval_quantified_witness` is the whole-list case.
 
 Model checking a plant reduces to quantifier enumeration over its trace
 set: exact for tree/acyclic frames, bounded (and flagged as such) for
@@ -63,6 +69,7 @@ from .formula import (
     Next,
     Not,
     Or,
+    Program,
     Quantifier,
     Release,
     Until,
@@ -186,7 +193,12 @@ def eval_body(
     Raises HorizonExceeded, before any evaluation, when (S*+P*) times the
     subformula count exceeds the horizon.
     """
-    atoms, code, size = body.program
+    return _eval_program(body.program, asg, horizon)
+
+
+def _eval_program(program: Program, asg: TraceAssignment, horizon: int) -> bool:
+    """:func:`eval_body` of a compiled body, such as a formula's."""
+    atoms, code, size = program
     s_star, p_star = _joint_shape(asg.values())
     n = s_star + p_star
     if n * size > horizon:
@@ -222,32 +234,60 @@ def _tile(x: int, width: int, times: int) -> int:
     return out
 
 
-class BodyBatch:
-    """The innermost run of like quantifiers of a formula (all universal
-    or all existential) over a sorted trace list: the body's verdict for
-    every tuple of the list's traces bound to the last w variables, the
-    other variables fixed by a prefix tuple in prefix order.
+def _join(words: Sequence[int], width: int) -> int:
+    """The words side by side, word i at bit i * width: a loop over up to
+    64 words, and the two halves of a longer list joined, which keeps the
+    cost near linear in the result's size."""
+    if len(words) > 64:
+        half = len(words) // 2
+        return _join(words[:half], width) | _join(words[half:], width) << half * width
+    x = shift = 0
+    for word in words:
+        x |= word << shift
+        shift += width
+    return x
 
-    The grid width w is the largest, at most the run's length, for which
+
+class BodyBatch:
+    """The last w variables of a formula, of any quantifier kind, over a
+    sorted trace list: the body's verdict for every tuple of the list's
+    traces bound to them, the other (outer) variables fixed by a prefix
+    tuple in prefix order, and the quantifiers of those w variables
+    decided on the verdict bits.
+
+    The grid width w is the largest, at most the prefix length, for which
     T^w * n * size is within the horizon (T traces, n = S*+P* with (S*,
     P*) the joint shape of the whole list: unrolling a lasso keeps its
     truth at position 0, so one shape serves every tuple), provided P* is
-    at most _MAX_PERIOD_STRETCH times the longest loop.  Then one pass
-    answers for all T^w suffix tuples: block b of n bits holds the tuple
+    at most _MAX_PERIOD_STRETCH times the longest loop and the list holds
+    two traces or more.  Then one pass answers for all T^w suffix tuples
+    of a prefix tuple of the outer variables: block b of n bits holds the tuple
     whose base-T digits are b, in row-major order, which is the
-    lexicographic order of a loop over the list.  When no width fits
-    (``fits`` false), eval_body answers one tuple of the last variable at
-    a time, lazily and in list order, so HorizonExceeded is raised for the
-    same inputs and at the same tuple as by a loop over eval_body: a grid
-    that fits has no tuple whose own n * size exceeds the horizon.
+    lexicographic order of a loop over the list; digit d belongs to the
+    variable at grid depth d.  When no width fits (``fits`` false),
+    eval_body answers one tuple of the last variable at a time, lazily
+    and in list order, so HorizonExceeded is raised for the same inputs
+    and at the same tuple as by a loop over eval_body: a grid that fits
+    has no tuple whose own n * size exceeds the horizon.
+
+    The quantifiers are folded on the bits (:meth:`decide`), from depth
+    w-1 up to depth 0.  Level d holds one bit per unit, the first bit of
+    the T^(w-1-d) blocks that share digits 0..d, so units lie u_d =
+    n * T^(w-1-d) bits apart.  A level folds into the one above by one OR
+    over each group of T units, member units only, taken by shift-or
+    doubling: under an existential a group holds when some member unit
+    holds, under a universal when no member unit fails.  Depth 0 is a
+    single group, so its test is one AND with the member units.  Purely
+    universal sentences ask :meth:`first` instead, for their first
+    falsifying tuple.
 
     Traces are named by their list index: a prefix, a suffix and a tuple
     are tuples of indices.  A tuple's verdict does not depend on the other
     traces of the list, so one batch over a plant's traces serves every
-    pruning of it: a subset is the `among` of :meth:`first` (see
-    :meth:`subset`).  A `memo` dict, when given, keeps the answers for
-    callers that ask again: the grid bits by prefix, or a verdict by
-    tuple.
+    pruning of it: a subset is the `among` of :meth:`decide` and
+    :meth:`first` (see :meth:`subset`).  A `memo` dict, when given, keeps
+    the answers for callers that ask again: the grid bits by prefix and an
+    outer variable's atoms by (variable, trace), or a verdict by tuple.
     """
 
     def __init__(
@@ -258,39 +298,67 @@ class BodyBatch:
         memo: Optional[dict] = None,
     ):
         self.f = f
-        self.atoms, self.code, size = f.body.program
-        quants = [q for q, _ in f.prefix]
-        self.exists = [q is Quantifier.EXISTS for q in quants]
+        self.atoms, self.code, size = f.program
+        self.exists = [q is Quantifier.EXISTS for q, _ in f.prefix]
         self.universal = not any(self.exists)
         self.traces = traces
         self.horizon = horizon
         self.s, p = _joint_shape(traces)
         self.n = self.s + p
-        run = 0
-        while run < len(quants) and quants[-1 - run] is quants[-1]:
-            run += 1
-        self.width = w = self._width(run, p, size)
+        self.width = w = self._width(len(f.prefix), p, size)
         self.fits = w > 0
         # variables enumerated outside the batch, by prefix tuples
-        self.outer = len(quants) - (w or 1)
+        self.outer = len(f.prefix) - (w or 1)
         self.names = f.variables[: self.outer]
         self.depth = {v: d for d, v in enumerate(f.variables[self.outer :])}
-        self.layout = _layout(self.s, self.n, len(traces) ** w) if w else None
+        t, n = len(traces), self.n
+        # per grid depth, the distance between its units, and the repunit
+        # of a unit's blocks
+        self.units = [n * t ** (w - 1 - d) for d in range(w)]
+        self.spreads = [((1 << u) - 1) // ((1 << n) - 1) for u in self.units]
+        self.layout = _layout(self.s, n, t**w) if w else None
         self.rep = self.layout[1] if w else 0
+        # the first bit of every unit of depth 0
+        self.top = self.layout[0] // ((1 << self.units[0]) - 1) if w else 0
         self.memo = memo
         self._stacked: dict[tuple[tuple[str, ...], int], list[int]] = {}
 
-    def _width(self, run: int, p: int, size: int) -> int:
-        """The widest grid of at most run variables within the horizon,
-        or 0 when none fits."""
+    def _width(self, k: int, p: int, size: int) -> int:
+        """The widest grid of at most k variables within the horizon, or 0
+        when none fits.  A single trace gets none: its grid would be one
+        block, which eval_body, the T = 1 case, answers for less."""
         t = len(self.traces)
-        longest = max((len(x.loop) for x in self.traces), default=1)
-        if not t or p > _MAX_PERIOD_STRETCH * longest:
+        if t < 2 or p > _MAX_PERIOD_STRETCH * max(len(x.loop) for x in self.traces):
             return 0
         w, cells = 0, self.n * size
-        while w < run and cells * t <= self.horizon:
+        while w < k and cells * t <= self.horizon:
             w, cells = w + 1, cells * t
         return w
+
+    def decide(self, prefix: Indices, among=None) -> bool:
+        """Whether the quantifiers of the variables after prefix, a tuple
+        of the outer variables, hold, each variable ranging over a
+        :meth:`subset` when one is given."""
+        if self.fits:
+            v = self._fold(self._bits(prefix), among)
+            members = self.top if among is None else among[0]
+            if self.exists[self.outer]:
+                return bool(v & members)
+            return v & members == members
+        exists = self.exists[-1]
+        for i in range(len(self.traces)) if among is None else among:
+            if self._verdict(prefix, i) is exists:
+                return exists
+        return not exists
+
+    def supported(self, members: Sequence[int], among) -> list[int]:
+        """For a batch whose grid holds every variable, the members i for
+        which the quantifiers after the first variable hold with trace i
+        bound to it, every later variable ranging over ``among``, the
+        subset of members: one fold that stops one level short of depth
+        0."""
+        bits, unit = self._fold(self._bits(()), among), self.units[0]
+        return [i for i in members if bits >> i * unit & 1]
 
     def first(self, prefix: Indices, value: bool, among=None) -> Optional[Indices]:
         """The first suffix tuple, in lexicographic order, whose verdict
@@ -300,7 +368,9 @@ class BodyBatch:
             bits = self._bits(prefix)
             hits = bits if value else self.rep ^ bits
             if among is not None:
-                hits &= among
+                # a block is a member when its unit at every depth is
+                for members, spread in zip(among, self.spreads):
+                    hits &= members * spread
             if not hits:
                 return None
             b = ((hits & -hits).bit_length() - 1) // self.n
@@ -317,32 +387,66 @@ class BodyBatch:
         return None
 
     def holds(self, prefix: Indices, i: int) -> bool:
-        """The verdict of trace i bound to the last variable after prefix,
-        in a grid of width 1 (an E*A prefix)."""
-        if self.fits:
-            return bool(self._bits(prefix) >> i * self.n & 1)
-        return self._verdict(prefix, i)
+        """The verdict of the full tuple prefix + (i,)."""
+        if not self.fits:
+            return self._verdict(prefix, i)
+        b, outer = i, self.outer
+        if len(prefix) > outer:  # grid digits before the last one
+            t = scale = len(self.traces)
+            for j in reversed(prefix[outer:]):
+                b += j * scale
+                scale *= t
+            prefix = prefix[:outer]
+        return bool(self._bits(prefix) >> b * self.n & 1)
 
     def subset(self, members: Iterable[int]):
         """The traces of the given indices, as the `among` of
-        :meth:`first`: the grid blocks whose every trace is a member (the
-        AND of each depth's placement), or the indices, sorted."""
+        :meth:`decide` and :meth:`first`: per grid depth, the units whose
+        trace at that depth is a member, or the indices, sorted."""
         if not self.fits:
             return sorted(members)
-        col = [0] * len(self.traces)
-        for i in members:
-            col[i] = 1
-        among = self.rep
-        for d in range(self.width):
-            among &= self._place(col, d)
+        members, t = list(members), len(self.traces)
+        among = []
+        for d, unit in enumerate(self.units):
+            pattern = 0
+            for i in members:
+                pattern |= 1 << i * unit
+            among.append(_tile(pattern, unit * t, t**d))
         return among
+
+    def _fold(self, v: int, among) -> int:
+        """The grid bits v folded from depth w-1 up to depth 1, members of
+        among only: the truth of the quantifiers after depth 0 sits at the
+        first bit of each unit of depth 0.  Only the first bit of a unit
+        is read by the level above, so no level masks the others; depth
+        0, one group, is one AND with its members (see :meth:`decide`)."""
+        full, t = self.layout[0], len(self.traces)
+        for d in range(self.width - 1, 0, -1):
+            members = full if among is None else among[d]
+            exists = self.exists[self.outer + d]
+            # the units that hold under an existential, that fail under a
+            # universal, ORed over each group of t by shift-or doubling
+            x = v & members if exists else members & (full ^ v)
+            v = shift = 0
+            width, times = self.units[d], t
+            while times:
+                if times & 1:
+                    v |= x >> shift
+                    shift += width
+                times >>= 1
+                if times:
+                    x |= x >> width
+                    width <<= 1
+            if not exists:
+                v ^= full
+        return v
 
     def _verdict(self, prefix: Indices, i: int) -> bool:
         chosen = prefix + (i,)
         got = None if self.memo is None else self.memo.get(chosen)
         if got is None:
             asg = dict(zip(self.f.variables, [self.traces[j] for j in chosen]))
-            got = eval_body(self.f.body, asg, self.horizon)
+            got = _eval_program(self.f.program, asg, self.horizon)
             if self.memo is not None:
                 self.memo[chosen] = got
         return got
@@ -353,50 +457,42 @@ class BodyBatch:
         bits = None if memo is None else memo.get(prefix)
         if bits is not None:
             return bits
-        n, rep, depth, traces = self.n, self.rep, self.depth, self.traces
-        fixed = dict(zip(self.names, prefix))
+        depth, fixed, rep = self.depth, dict(zip(self.names, prefix)), self.rep
         vals: list[int] = []
         for var, props in self.atoms:
             d = depth.get(var)
             if d is not None:
                 vals += self._stack(props, d)
-            else:
-                vals += [m * rep for m in traces[fixed[var]].masks(props, n)]
-        bits = _run(self.code, vals, self.s, n, self.layout) & rep
+                continue
+            # an outer variable's masks in every block, kept by the memo
+            key = (var, fixed[var])
+            got = None if memo is None else memo.get(key)
+            if got is None:
+                got = [m * rep for m in self.traces[key[1]].masks(props, self.n)]
+                if memo is not None:
+                    memo[key] = got
+            vals += got
+        bits = _run(self.code, vals, self.s, self.n, self.layout) & rep
         if memo is not None:
             memo[prefix] = bits
         return bits
 
     def _stack(self, props: tuple[str, ...], d: int) -> list[int]:
-        """The grid atoms of a variable at depth d, one per proposition."""
+        """The grid atoms of a variable at depth d, one per proposition:
+        block b gets the word of the trace of b's digit d.  The T words
+        are joined one unit apart, each repeated over its T^(w-1-d)
+        consecutive blocks by one multiply with a short repunit, and the
+        pattern is tiled T^d times."""
         got = self._stacked.get((props, d))
         if got is None:
-            n = self.n
-            got = [
-                self._place(col, d)
-                for col in zip(*[t.masks(props, n) for t in self.traces])
-            ]
+            n, t, unit = self.n, len(self.traces), self.units[d]
+            got = [_join(col, unit) for col in zip(*[x.masks(props, n) for x in self.traces])]
+            if unit > n:
+                got = [x * self.spreads[d] for x in got]
+            if d:
+                got = [_tile(x, unit * t, t**d) for x in got]
             self._stacked[props, d] = got
         return got
-
-    def _place(self, col: Sequence[int], d: int) -> int:
-        """One n-bit word per trace laid out at grid depth d: block b gets
-        the word of b's digit d.  Each word is repeated over its
-        T^(w-1-d) consecutive blocks by a multiply with a short repunit,
-        the T rows are joined pairwise, and the whole pattern is tiled
-        T^d times."""
-        n, t = self.n, len(self.traces)
-        row = n * t ** (self.width - 1 - d)
-        if row > n:
-            rep = ((1 << row) - 1) // ((1 << n) - 1)
-            col = [x * rep for x in col]
-        w = row
-        while len(col) > 1:  # pair up neighbours, halving the list
-            if len(col) % 2:
-                col = [*col, 0]
-            col = [lo | hi << w for lo, hi in zip(col[::2], col[1::2])]
-            w <<= 1
-        return _tile(col[0], row * t, t**d)
 
 
 def eval_quantified(
@@ -437,13 +533,15 @@ def eval_batch(
     """eval_quantified_witness of the batch's formula on trace_set, a
     subset of the batch's list (the whole list when None): the outer
     variables range over the subset in list order, and the rest is one
-    :meth:`BodyBatch.first` query among the subset per prefix tuple.  The
+    batch query among the subset per prefix tuple: a fold
+    (:meth:`BodyBatch.decide`), or the first falsifying suffix tuple
+    (:meth:`BodyBatch.first`) for a purely universal sentence.  The
     verdict, the witness and any HorizonExceeded are those of a batch over
     trace_set alone, so one batch, and its memo, judges every pruning of a
     plant."""
     f = batch.f
     if not f.prefix:
-        holds = eval_body(f.body, {}, batch.horizon)
+        holds = _eval_program(f.program, {}, batch.horizon)
         return holds, None if holds else ()
     outer, among = range(len(batch.traces)), None
     if trace_set is not None and len(trace_set) < len(batch.traces):
@@ -455,21 +553,34 @@ def eval_batch(
     return False, tuple([batch.traces[i] for i in witness])
 
 
+def eval_each(batch: BodyBatch, members: list[int]) -> list[int]:
+    """For a sentence of two or more variables, the members i, a sorted
+    list of indices into the batch's list, for which the quantifiers after
+    the first variable hold with trace i bound to it, every later variable
+    ranging over the members.  When the grid
+    holds every variable this is one fold stopped one level short
+    (:meth:`BodyBatch.supported`); otherwise each member is enumerated."""
+    among = batch.subset(members) if len(members) < len(batch.traces) else None
+    if batch.fits and not batch.outer:
+        return batch.supported(members, among)
+    return [i for i in members if _enumerate(batch, (i,), members, among)[0]]
+
+
 def _enumerate(
     batch: BodyBatch, chosen: Indices, outer: Iterable[int], among
 ) -> tuple[bool, Optional[Indices]]:
     """Truth of the quantifiers after the chosen traces, and the first
     falsifying full tuple when it fails under universal choices only.  The
-    variables after the outer ones are one batch query for the first
-    suffix tuple that decides them.  A module function rather than a
-    recursive closure, which would be a reference cycle left to the
-    cyclic collector on every call."""
-    exists = batch.exists[len(chosen)]
+    variables after the outer ones are one batch query: one fold, or, for
+    a purely universal sentence, the first falsifying suffix tuple.  A
+    module function rather than a recursive closure, which would be a
+    reference cycle left to the cyclic collector on every call."""
     if len(chosen) == batch.outer:
-        suffix = batch.first(chosen, exists, among)
-        if suffix is None:
-            return not exists, None
-        return exists, None if exists else chosen + suffix
+        if not batch.universal:
+            return batch.decide(chosen, among), None
+        suffix = batch.first(chosen, False, among)
+        return suffix is None, None if suffix is None else chosen + suffix
+    exists = batch.exists[len(chosen)]
     for i in outer:
         ok, witness = _enumerate(batch, chosen + (i,), outer, among)
         if ok is exists:

@@ -27,10 +27,10 @@ Four routes:
   nodes need some child).
 * synth_tree_marking - trees with an AE* prefix: mark all leaves, then
   repeatedly unmark leaves whose universal instantiation has no
-  existential witnesses among the marked leaves (one batch query per leaf
-  when the batch's grid holds every existential); on stabilization prune
-  to the marked branches, re-checking that uncontrollable transitions do
-  not force unmarked leaves back in.
+  existential witnesses among the marked leaves (one fold of the batch's
+  grid per round when the grid holds every variable); on stabilization
+  prune to the marked branches, re-checking that uncontrollable
+  transitions do not force unmarked leaves back in.
 
 Both searches build one :class:`~hypersynth.semantics.BodyBatch` per
 synthesis, over the full plant's traces, and judge each pruning inside it
@@ -76,7 +76,7 @@ from .plant import (
     sort_lassos,
     validate,
 )
-from .semantics import DEFAULT_HORIZON, BodyBatch, eval_batch
+from .semantics import DEFAULT_HORIZON, BodyBatch, eval_batch, eval_each
 
 DEFAULT_MAX_CANDIDATE_BITS = 24
 
@@ -453,15 +453,18 @@ def synth_tree_exists_forall(
     remaining leaves all satisfy the body; the assignment succeeds when
     the root survives and every existential witness trace is still
     present.  The body's verdict for each leaf comes from one
-    :class:`BodyBatch` over the leaf traces, kept for the current
-    assignment only.
+    :class:`BodyBatch` over the leaf traces, whose answers are kept while
+    the assignment's outer prefix (the variables before the batch's grid)
+    stays the same: one grid, or the universal variable's verdicts when
+    no grid fits, so the memory held is that of one grid.
     """
     leaf, traces = _tree_leaves(plant, f, FragmentKind.E_STAR_A)
-    memo: dict = {}  # the current witness's answers, which every leaf reads
+    memo: dict = {}
     batch = BodyBatch(f, traces, horizon, memo)
 
     for witness in product(range(len(traces)), repeat=len(f.variables) - 1):
-        memo.clear()
+        if witness[: batch.outer] not in memo:
+            memo.clear()
         if not all(batch.holds(witness, i) for i in set(witness)):
             continue
         pruning = _prune(plant, lambda s: batch.holds(witness, leaf[s]))
@@ -491,23 +494,21 @@ def synth_tree_marking(
     shrinks and the marking rounds rerun on it, until the marked set and
     the realizable leaf set coincide (Realizable) or no leaf survives
     (Unrealizable).
+
+    A round is one :func:`~hypersynth.semantics.eval_each` over one
+    :class:`BodyBatch` of the leaf traces, its grid bits kept across
+    rounds: when the grid holds every variable, the existentials are
+    folded on the bits among the marked leaves, stopped one level short,
+    which leaves one bit per trace of the universal variable; otherwise
+    the variables outside the grid are enumerated over the marked leaves.
     """
     leaf, traces = _tree_leaves(plant, f, FragmentKind.A_E_STAR)
-    # the existentials in the batch's grid are one query among the marked
-    # leaves, its answers kept across rounds; the others are enumerated
     batch = BodyBatch(f, traces, horizon, {})
-    outside = batch.outer - 1
-
-    def supported(t: int, marked: list[int], among) -> bool:
-        inner = product(marked, repeat=outside)
-        return any(batch.first((t, *e), True, among) is not None for e in inner)
-
     marked = list(range(len(traces)))  # leaf traces by index
     while True:
         # marking rounds: greatest set of traces that support each other
         while True:
-            among = batch.subset(marked)
-            survivors = [t for t in marked if supported(t, marked, among)]
+            survivors = eval_each(batch, marked)
             if survivors == marked:
                 break
             marked = survivors

@@ -183,6 +183,24 @@ def qbf_brute_fixed(qbf: QbfInput, fixed: dict[int, bool]) -> bool:
 # --- lasso and frame references ---------------------------------------------
 
 
+def lasso_prefix(lasso: Lasso, n: int) -> tuple[frozenset[str], ...]:
+    """The first n letters of the lasso's word."""
+    return tuple(lasso.letter_at(i) for i in range(n))
+
+
+def lasso_suffix(lasso: Lasso, n: int) -> Lasso:
+    """The lasso denoting positions n, n+1, ... of the lasso's word."""
+    if n <= len(lasso.stem):
+        return Lasso(lasso.stem[n:], lasso.loop)
+    k = (n - len(lasso.stem)) % len(lasso.loop)
+    return Lasso((), lasso.loop[k:] + lasso.loop[:k])
+
+
+def successors(plant: Plant, state: str) -> list[str]:
+    """The state's successors, sorted."""
+    return list(plant.index.adjacency[state])
+
+
 def unroll_equal(x: Lasso, y: Lasso) -> bool:
     """Decide word equality by explicit unrolling; used to cross-check
     :func:`lasso_equal`.  From position max(|stems|) onward both words are
@@ -190,12 +208,12 @@ def unroll_equal(x: Lasso, y: Lasso) -> bool:
     that horizon plus one full joint period decides equality."""
     s = max(len(x.stem), len(y.stem))
     p = len(x.loop) * len(y.loop) // gcd(len(x.loop), len(y.loop))
-    return x.prefix(s + p) == y.prefix(s + p)
+    return lasso_prefix(x, s + p) == lasso_prefix(y, s + p)
 
 
 def shift_assignment(asg: dict[str, Lasso], k: int) -> dict[str, Lasso]:
     """Drop the first k positions of every bound trace."""
-    return {var: lasso.suffix(k) for var, lasso in asg.items()}
+    return {var: lasso_suffix(lasso, k) for var, lasso in asg.items()}
 
 
 def classify_frame_reference(plant: Plant) -> FrameKind:

@@ -25,6 +25,8 @@ from hypersynth.plant import FrameKind, classify_frame, enumerate_traces, valida
 from hypersynth.semantics import check
 from hypersynth.synth import apply_solution
 
+from helpers import lasso_prefix, successors
+
 
 def full_config(rounds: int) -> ProtocolConfig:
     return ProtocolConfig(
@@ -58,7 +60,7 @@ def test_config_round_trips_through_json_dict():
 def test_full_one_round_tree_has_sixty_leaves():
     plant = build_plant(full_config(1))
     validate(plant)
-    leaves = [s for s in plant.states if plant.successors(s) == [s]]
+    leaves = [s for s in plant.states if successors(plant, s) == [s]]
     assert len(leaves) == 5 * 4 * 3
 
 
@@ -68,7 +70,7 @@ def test_all_skip_config_is_a_chain():
     traces = enumerate_traces(plant)
     assert len(traces) == 1
     (trace,) = traces
-    word = trace.prefix(8)
+    word = lasso_prefix(trace, 8)
     assert all(not ({"m", "nro", "nrr"} & set(l)) for l in word)
 
 
@@ -80,7 +82,7 @@ def test_build_plant_always_tree():
 def test_status_propositions_are_monotone():
     plant = build_plant(curated_config())
     for trace in enumerate_traces(plant):
-        word = trace.prefix(len(trace.stem) + 1)
+        word = lasso_prefix(trace, len(trace.stem) + 1)
         for status in ("m", "nro", "nrr"):
             seen = False
             for letter in word:
@@ -92,7 +94,7 @@ def test_status_propositions_are_monotone():
 
 def test_controllability_partition():
     plant = build_plant(curated_config())
-    terminals = {s for s in plant.states if plant.successors(s) == [s]}
+    terminals = {s for s in plant.states if successors(plant, s) == [s]}
     for a, b in plant.c_edges:
         depth = a.count("/")
         assert turn_of_depth(depth) == "T" or (a == b and a in terminals)
@@ -139,7 +141,7 @@ def test_strategies_on_curated_config():
 def test_strategy_retains_one_edge_per_t_state():
     plant = build_plant(curated_config())
     sol = encode_strategy(plant, STRATEGIES["correct"])
-    terminals = {s for s in plant.states if plant.successors(s) == [s]}
+    terminals = {s for s in plant.states if successors(plant, s) == [s]}
     by_state: dict[str, int] = {}
     for a, _ in sol.retained:
         by_state[a] = by_state.get(a, 0) + 1

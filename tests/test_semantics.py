@@ -30,7 +30,9 @@ from hypersynth.plant import Lasso, Plant, sort_lassos
 from hypersynth.semantics import (
     BodyBatch,
     check,
+    eval_batch,
     eval_body,
+    eval_each,
     eval_quantified,
     eval_quantified_witness,
 )
@@ -390,46 +392,48 @@ def _per_tuple(f: Formula, trace_set, horizon: int = 10**6):
     return holds, witness if universal and not holds else None
 
 
+def _regimes(rng, f: Formula, traces) -> list[tuple[int, int]]:
+    """(horizon, expected grid width) for the three width regimes of a
+    batch: the full prefix, a grid narrowed by the horizon, and none, at
+    a horizon that admits the widest tuple but no grid, so the batch
+    answers tuple by tuple.  A single trace never gets a grid."""
+    k, size = len(f.prefix), f.body.program.size
+    cells = _joint_length(dict(enumerate(traces))) * size
+    widest = max(
+        _joint_length(dict(zip(f.variables, chosen)))
+        for chosen in itertools.product(traces, repeat=k)
+    ) * size
+    regimes = [(10**9, k if len(traces) > 1 else 0)]
+    if k > 1 and len(traces) > 1:
+        w = rng.randint(1, k - 1)
+        regimes.append((cells * len(traces) ** w, w))
+    if widest < cells * len(traces):
+        regimes.append((widest, 0))
+    return regimes
+
+
 def test_batch_bits_match_eval_body_per_tuple():
     # first(), over the whole list and among a subset, and holds(), against
-    # eval_body on each tuple, for universal and existential runs of 1-3
-    # variables, after an outer variable of the other kind or none: with
-    # the widest grid, with a horizon that admits only a narrower grid, and
-    # with one that admits the widest tuple but no grid, so the batch
-    # answers tuple by tuple
+    # eval_body on each tuple, for prefixes of 1-3 variables of any kinds,
+    # in each width regime: the whole prefix in the grid, a grid narrowed
+    # by the horizon, and tuple by tuple
     rng = random.Random(84)
     names = ("o", "p", "q", "r")
     narrower = by_tuple = 0
     for _ in range(150):
-        run = rng.randint(1, 3)
-        inner = rng.choice((A, E))
-        quants = (E if inner is A else A,) * rng.randint(0, 1) + (inner,) * run
-        k = len(quants)
+        k = rng.randint(1, 3)
+        quants = tuple(rng.choice((A, E)) for _ in range(k))
         body = random_body(rng, names[:k], budget=rng.randint(1, 8))
         if rng.random() < 0.3:
             body = negate_nnf(desugar(body))  # Release nodes
         f = Formula(tuple(zip(quants, names)), body)
         traces = sort_lassos(_random_trace_set(rng))
-        cells = _joint_length(dict(enumerate(traces))) * f.body.program.size
-        widest = max(
-            _joint_length(dict(zip(names, chosen)))
-            for chosen in itertools.product(traces, repeat=k)
-        ) * f.body.program.size
-        horizons = [(10**9, run)]
-        if run > 1 and len(traces) > 1:
-            w = rng.randint(1, run - 1)
-            horizons.append((cells * len(traces) ** w, w))
-        horizons.append((widest, 0))
-        for horizon, width in horizons:
+        for horizon, width in _regimes(rng, f, traces):
             memo = {} if rng.random() < 0.5 else None
             batch = BodyBatch(f, traces, horizon, memo)
-            if width == 0:
-                if batch.fits:
-                    continue  # one trace, or no tuple narrower than the list
-                by_tuple += 1
-            else:
-                assert batch.width == width
-                narrower += width < run
+            assert batch.width == width
+            narrower += 0 < width < k
+            by_tuple += width == 0
             # traces by list index; m, the length of an answer's suffix
             m = k - batch.outer
             suffixes = list(itertools.product(range(len(traces)), repeat=m))
@@ -446,9 +450,52 @@ def test_batch_bits_match_eval_body_per_tuple():
                     assert batch.first(prefix, value) == next(iter(hits), None)
                     hits = [s for s in hits if set(s) <= set(members)]
                     assert batch.first(prefix, value, among) == next(iter(hits), None)
-                if m == 1:
-                    assert [batch.holds(prefix, i) for i in range(len(traces))] == expected
+                for suffix, verdict in zip(suffixes, expected):
+                    tuple_ = prefix + suffix
+                    assert batch.holds(tuple_[:-1], tuple_[-1]) is verdict
     assert narrower > 30 and by_tuple > 50
+
+
+def _decided(f: Formula, traces, chosen: tuple, members) -> bool:
+    """The quantifiers after the chosen traces, each ranging over the
+    members, by eval_body on every full tuple."""
+    if len(chosen) == len(f.prefix):
+        return eval_body(f.body, dict(zip(f.variables, [traces[i] for i in chosen])))
+    branches = (_decided(f, traces, chosen + (i,), members) for i in members)
+    return any(branches) if f.prefix[len(chosen)][0] is E else all(branches)
+
+
+def test_fold_matches_per_tuple_enumeration():
+    # the quantifiers folded on the grid bits, after a prefix and among a
+    # subset (empty, a singleton or any), against eval_body on every
+    # tuple of the members, for mixed prefixes of 1-4 variables in each
+    # width regime; and the same through eval_batch, which enumerates the
+    # outer variables, and eval_each, which folds one level short
+    rng = random.Random(88)
+    names = ("o", "p", "q", "r")
+    seen = {"full": 0, "narrowed": 0, "none": 0}
+    for _ in range(120):
+        k = rng.randint(1, 4)
+        quants = tuple(rng.choice((A, E)) for _ in range(k))
+        f = Formula(tuple(zip(quants, names)), random_body(rng, names[:k], budget=rng.randint(1, 7)))
+        traces = sort_lassos({random_lasso(rng) for _ in range(rng.randint(1, 5 if k < 4 else 3))})
+        t = len(traces)
+        for horizon, width in _regimes(rng, f, traces):
+            batch = BodyBatch(f, traces, horizon, {} if rng.random() < 0.5 else None)
+            assert batch.width == width
+            seen["none" if not width else "full" if width == k else "narrowed"] += 1
+            for size in (0, 1, rng.randint(0, t), t):
+                members = sorted(rng.sample(range(t), size))
+                among = batch.subset(members)
+                prefix = tuple(rng.randrange(t) for _ in range(batch.outer))
+                assert batch.decide(prefix, among) is _decided(f, traces, prefix, members)
+                assert batch.decide(prefix) is _decided(f, traces, prefix, range(t))
+                subset = {traces[i] for i in members}
+                assert eval_batch(batch, subset) == _per_tuple(f, subset)
+                if k > 1:
+                    supported = [i for i in members if _decided(f, traces, (i,), members)]
+                    assert eval_each(batch, members) == supported
+    assert min(seen.values()) > 30, seen
 
 
 def test_quantified_witness_matches_per_tuple_loop():

@@ -20,7 +20,12 @@ from hypersynth.plant import (
     pruned_traces,
     sort_lassos,
 )
-from hypersynth.reductions import decode_assignment, parse_dimacs, threesat_to_instance
+from hypersynth.reductions import (
+    decode_assignment,
+    parse_dimacs,
+    qbf_to_instance,
+    threesat_to_instance,
+)
 import hypersynth.semantics
 import hypersynth.synth
 from hypersynth.semantics import (
@@ -46,7 +51,9 @@ from helpers import (
     horizon_outcome,
     random_acyclic_plant,
     random_general_plant,
+    qbf_brute,
     random_prefix_formula,
+    random_qbf,
     random_retained,
     random_tree_plant,
     synth_brute,
@@ -320,6 +327,23 @@ def test_marking_agrees_with_generic():
             assert eval_quantified(f, enumerate_traces(pruned))
 
 
+def test_marking_matches_bruteforce_on_trees():
+    # the marking route, its rounds one fold of the grid among the marked
+    # leaves, against the exhaustive oracle; a witness re-checks
+    rng = random.Random(34)
+    realizable = 0
+    for _ in range(150):
+        plant = random_tree_plant(rng, max_states=8, max_c_edges=6)
+        f = random_prefix_formula(rng, (A,) + (E,) * rng.randint(1, 3), budget=rng.randint(2, 6))
+        result = synth_tree_marking(plant, f)
+        expected, _ = synth_brute(plant, f)
+        assert result.realizable is expected
+        if result.realizable:
+            realizable += 1
+            assert check(apply_solution(plant, result.solution), f).holds
+    assert 20 < realizable < 130
+
+
 def test_dispatch_routes_by_frame_and_fragment():
     rng = random.Random(27)
     tree = random_tree_plant(rng, max_states=6, max_c_edges=4)
@@ -375,6 +399,32 @@ def test_batched_routes_match_per_tuple_routes(monkeypatch):
             monkeypatch.setattr(module, "BodyBatch", narrow)
         assert [dispatch(plant, f) for plant, f in cases] == batched
     assert any(r.realizable for r in batched) and not all(r.realizable for r in batched)
+
+
+def test_alternating_reduction_folds_the_suffix_in_few_passes(monkeypatch):
+    # a QBF of prefix exists-forall-exists reduces to an AAEA sentence; its
+    # last three variables share one grid, so the synthesis runs at most
+    # one body pass per trace of its outer variable, and one more
+    passes = []
+    run = hypersynth.semantics._run
+
+    def counted(code, vals, s, n, layout=None):
+        passes.append(layout is not None)
+        return run(code, vals, s, n, layout)
+
+    monkeypatch.setattr(hypersynth.semantics, "_run", counted)
+    rng = random.Random(35)
+    done = 0
+    while done < 12:
+        qbf = random_qbf(rng, num_vars=3, alternations=2)
+        inst = qbf_to_instance(qbf)
+        assert [q for q, _ in inst.formula.prefix] == [A, A, E, A]
+        traces = len(pruned_traces(inst.plant)[0])
+        passes.clear()
+        result = dispatch(inst.plant, inst.formula)
+        assert result.realizable is qbf_brute(qbf)
+        assert 0 < sum(passes) <= traces + 1
+        done += 1
 
 
 def test_prunings_judged_in_the_plants_batch_match_fresh_evaluations():
