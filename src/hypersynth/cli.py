@@ -14,37 +14,29 @@ the exit code, a total function of the outcome:
   4  candidate-space guard tripped (raise --max-c to search anyway)
   5  internal error: any other exception; stderr gets the traceback
 
-The environment variable HYPERSYNTH_THREADS caps internal parallelism;
-the engines run deterministically and currently use a single worker,
-which always respects the cap.
+Every run pays for this module's imports at start-up, so importing it
+(and the package's public modules) loads only what classify, check and
+synth use.  A module that one command alone uses is imported inside it:
+the reductions in ``cmd_reduce``, the case study in ``cmd_casestudy``,
+and hashlib in ``_sha256`` (synth --out and reduce).  Nothing is
+imported in an error path: an import failing there would escape
+``main`` as exit 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import hashlib
 import json
 import os
 import sys
 import time
 import traceback
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import CandidateSpaceExceeded, ConfigInvalid, HypersynthError
 from .formula import Formula, classify_fragment
-from .nrp import (
-    STRATEGIES,
-    build_plant,
-    combined_objective_formula,
-    config_from_dict,
-    consistency_formula,
-    curated_config,
-    effectiveness_fairness_formula,
-    encode_strategy,
-)
 from .parser import parse, print_formula
 from .plant import (
     Plant,
@@ -54,14 +46,6 @@ from .plant import (
     load_plant,
     to_dot,
     validate,
-)
-from .reductions import (
-    horn_to_instance,
-    normalize_horn,
-    parse_dimacs,
-    parse_qdimacs,
-    qbf_to_instance,
-    threesat_to_instance,
 )
 from .semantics import check
 from .synth import DEFAULT_MAX_CANDIDATE_BITS, apply_solution, dispatch
@@ -74,8 +58,7 @@ EXIT_GUARD = 4
 EXIT_INTERNAL = 5
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     """A command's output apart from the elapsed time, which ``main`` adds:
     the ``--json`` fields, the text lines, and whether a negative outcome
     is exact (exit 1) or holds only at the explored bound (exit 3)."""
@@ -86,19 +69,6 @@ class Report:
 
 
 Outcome = tuple[Report, bool]
-
-
-def _threads_cap() -> int:
-    raw = os.environ.get("HYPERSYNTH_THREADS")
-    if raw is None:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise HypersynthError(f"HYPERSYNTH_THREADS must be an integer: {raw!r}") from exc
-    if cap < 1:
-        raise HypersynthError("HYPERSYNTH_THREADS must be >= 1")
-    return cap
 
 
 def _read(path: str) -> str:
@@ -141,6 +111,8 @@ def _load_formula(path: str) -> Formula:
 
 
 def _sha256(text: str) -> str:
+    import hashlib
+
     return hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -229,6 +201,15 @@ def cmd_synth(args) -> Outcome:
 
 
 def cmd_reduce(args) -> Outcome:
+    from .reductions import (
+        horn_to_instance,
+        normalize_horn,
+        parse_dimacs,
+        parse_qdimacs,
+        qbf_to_instance,
+        threesat_to_instance,
+    )
+
     text = _read(args.input)
     if args.kind == "horn":
         inst = horn_to_instance(normalize_horn(parse_dimacs(text)))
@@ -251,6 +232,17 @@ def cmd_reduce(args) -> Outcome:
 
 
 def cmd_casestudy(args) -> Outcome:
+    from .nrp import (
+        STRATEGIES,
+        build_plant,
+        combined_objective_formula,
+        config_from_dict,
+        consistency_formula,
+        curated_config,
+        effectiveness_fairness_formula,
+        encode_strategy,
+    )
+
     if args.config is not None:
         try:
             doc = json.loads(_read(args.config))
@@ -345,7 +337,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = _parser.parse_args(argv)
     started = time.perf_counter()
     try:
-        _threads_cap()
         report, positive = args.func(args)
         elapsed = time.perf_counter() - started
         if args.json:

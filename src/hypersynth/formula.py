@@ -18,7 +18,7 @@ A body compiles once, on first use, to a flat :class:`Program`, which
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from enum import Enum
 from functools import cached_property
 from typing import NamedTuple
@@ -29,9 +29,18 @@ from .errors import DuplicateQuantifier, UnboundVariable
 class Body:
     """Base class for body AST nodes.  Bodies are equal when they are the
     same tree, shared or copied: ``==`` and ``hash`` compare the programs of
-    :func:`compile_body`, compiled afresh so nothing is stored."""
+    :func:`compile_body`, compiled afresh so nothing is stored.
+
+    Nodes are immutable: their fields are written once, into the instance
+    dict, by the constructor of their shape (no operand, ``operand``, or
+    ``left`` and ``right``; an :class:`Atom` has ``prop`` and ``var``), and
+    assigning or deleting an attribute raises
+    :class:`dataclasses.FrozenInstanceError`.  A node prints as
+    ``Or(left=Atom(prop='a', var='t'), right=TrueBool())``.
+    """
 
     __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
 
     @cached_property
     def program(self) -> "Program":
@@ -46,74 +55,90 @@ class Body:
     def __hash__(self) -> int:
         return hash(compile_body(self))
 
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
 
-@dataclass(frozen=True, eq=False)
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class _Unary(Body):
+    """Shape of the nodes with one operand."""
+
+    __match_args__ = ("operand",)
+
+    def __init__(self, operand: Body):
+        self.__dict__["operand"] = operand
+
+
+class _Binary(Body):
+    """Shape of the nodes with two operands."""
+
+    __match_args__ = ("left", "right")
+
+    def __init__(self, left: Body, right: Body):
+        fields = self.__dict__
+        fields["left"] = left
+        fields["right"] = right
+
+
 class TrueBool(Body):
-    pass
+    """The literal true; false is ``Not(TrueBool())``."""
 
 
-@dataclass(frozen=True, eq=False)
 class Atom(Body):
-    prop: str
-    var: str
+    """Proposition ``prop`` on the trace bound to variable ``var``."""
+
+    __match_args__ = ("prop", "var")
+
+    def __init__(self, prop: str, var: str):
+        fields = self.__dict__
+        fields["prop"] = prop
+        fields["var"] = var
 
 
-@dataclass(frozen=True, eq=False)
-class Not(Body):
-    operand: Body
+class Not(_Unary):
+    """Negation."""
 
 
-@dataclass(frozen=True, eq=False)
-class Or(Body):
-    left: Body
-    right: Body
+class Or(_Binary):
+    """Disjunction."""
 
 
-@dataclass(frozen=True, eq=False)
-class And(Body):
-    left: Body
-    right: Body
+class And(_Binary):
+    """Conjunction; derived."""
 
 
-@dataclass(frozen=True, eq=False)
-class Implies(Body):
-    left: Body
-    right: Body
+class Implies(_Binary):
+    """Implication; derived."""
 
 
-@dataclass(frozen=True, eq=False)
-class Iff(Body):
-    left: Body
-    right: Body
+class Iff(_Binary):
+    """Equivalence; derived."""
 
 
-@dataclass(frozen=True, eq=False)
-class Next(Body):
-    operand: Body
+class Next(_Unary):
+    """Next position."""
 
 
-@dataclass(frozen=True, eq=False)
-class Until(Body):
-    left: Body
-    right: Body
+class Until(_Binary):
+    """``left`` holds until ``right`` does, which it must."""
 
 
-@dataclass(frozen=True, eq=False)
-class Release(Body):
+class Release(_Binary):
     """Dual of until; internal only (introduced by negate_nnf)."""
 
-    left: Body
-    right: Body
+
+class Eventually(_Unary):
+    """Some position from here on; derived."""
 
 
-@dataclass(frozen=True, eq=False)
-class Eventually(Body):
-    operand: Body
-
-
-@dataclass(frozen=True, eq=False)
-class Globally(Body):
-    operand: Body
+class Globally(_Unary):
+    """Every position from here on; derived."""
 
 
 class Quantifier(Enum):

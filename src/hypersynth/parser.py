@@ -21,7 +21,7 @@ ParseError.  "false" parses to Not(true); the printer emits it back as
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ParseError
 from .formula import (
@@ -65,8 +65,7 @@ _PREFIX = {"!": Not, "X": Next, "F": Eventually, "G": Globally}
 MAX_NESTING = 250
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # 'ident', 'kw', 'sym', 'eof'
     text: str
     pos: int

@@ -160,11 +160,6 @@ class Lasso:
             return NotImplemented
         return self.stem == other.stem and self.loop == other.loop
 
-    def letter_at(self, i: int) -> Letter:
-        if i < len(self.stem):
-            return self.stem[i]
-        return self.loop[(i - len(self.stem)) % len(self.loop)]
-
     @cached_property
     def _masks(self) -> dict[tuple[tuple[str, ...], int], tuple[int, ...]]:
         return {}
@@ -193,13 +188,6 @@ class Lasso:
         self._masks[key] = got
         return got
 
-    def sort_key(self):
-        """The canonical order of lassos; see :func:`sort_lassos`."""
-        return (
-            tuple(tuple(sorted(l)) for l in self.stem),
-            tuple(tuple(sorted(l)) for l in self.loop),
-        )
-
 
 def _bitmasks(letters: tuple[Letter, ...], props: tuple[str, ...]) -> dict[str, int]:
     """Per proposition, the bitmask of the letters that hold it."""
@@ -212,9 +200,12 @@ def _bitmasks(letters: tuple[Letter, ...], props: tuple[str, ...]) -> dict[str, 
 
 
 def sort_lassos(lassos: Iterable[Lasso]) -> list[Lasso]:
-    """The lassos in :meth:`Lasso.sort_key` order.  Each distinct letter
-    is sorted once and stands in the keys by its rank, which orders them
-    exactly as the sorted letters do."""
+    """The lassos in their canonical order: by stem, then by loop, each
+    compared letter by letter (a shorter sequence first when it is a
+    prefix of the other), and a letter by its sorted proposition names,
+    compared the same way.  Each distinct letter is sorted once and stands
+    in the keys by its rank, which orders them exactly as the sorted
+    letters do."""
     lassos = list(lassos)
     letters = {l for x in lassos for part in (x.stem, x.loop) for l in part}
     rank = {l: i for i, l in enumerate(sorted(letters, key=sorted))}.__getitem__
@@ -543,16 +534,6 @@ def plant_from_dict(data: dict) -> Plant:
     )
 
 
-def plant_to_dict(plant: Plant) -> dict:
-    return {
-        "states": sorted(plant.states),
-        "init": plant.init,
-        "labels": {s: sorted(plant.label(s)) for s in sorted(plant.states)},
-        "controllable": [list(e) for e in sorted(plant.c_edges)],
-        "uncontrollable": [list(e) for e in sorted(plant.u_edges)],
-    }
-
-
 def load_plant(text: str) -> Plant:
     try:
         data = json.loads(text)
@@ -563,11 +544,15 @@ def load_plant(text: str) -> Plant:
 
 
 def dump_plant(plant: Plant) -> str:
-    """The text of ``json.dumps(plant_to_dict(plant), indent=2,
-    sort_keys=True)`` plus a newline, written directly: the standard
-    library indents in pure Python, which made dumping (for a witness's
-    ``plant_sha256``) the largest part of a CLI synthesis on a large
-    plant."""
+    """The plant as the JSON object :func:`load_plant` reads, its keys in
+    sorted order: ``controllable`` (the edges as ``[from, to]`` pairs,
+    sorted), ``init``, ``labels`` (every state, unlabeled ones too, mapped
+    to its sorted propositions, states sorted), ``states`` (sorted) and
+    ``uncontrollable`` (as ``controllable``).  The text, plus a newline,
+    is what ``json.dumps(..., indent=2, sort_keys=True)`` writes for that
+    object, written directly: the standard library indents in pure
+    Python, which made dumping (for a witness's ``plant_sha256``) the
+    largest part of a CLI synthesis on a large plant."""
     names = plant.states.union(chain.from_iterable(plant.edges))
     quote = dict(zip(names, map(_quote, names))).__getitem__  # each name once
     states = sorted(plant.states)

@@ -67,7 +67,7 @@ def naive_eval(body: Body, asg: dict[str, Lasso], length: int) -> Optional[bool]
     or beyond the horizon are unknown, and unknowns propagate by Kleene
     three-valued logic.  Conclusive verdicts agree with the infinite-word
     semantics."""
-    words = {v: [l.letter_at(i) for i in range(length)] for v, l in asg.items()}
+    words = {v: [letter_at(l, i) for i in range(length)] for v, l in asg.items()}
 
     def ev(node: Body, i: int):
         if i >= length:
@@ -180,12 +180,40 @@ def qbf_brute_fixed(qbf: QbfInput, fixed: dict[int, bool]) -> bool:
     return rec(dict(fixed), 0)
 
 
-# --- lasso and frame references ---------------------------------------------
+# --- lasso, plant and frame references --------------------------------------
+
+
+def letter_at(lasso: Lasso, i: int) -> frozenset[str]:
+    """Letter i of the lasso's word."""
+    if i < len(lasso.stem):
+        return lasso.stem[i]
+    return lasso.loop[(i - len(lasso.stem)) % len(lasso.loop)]
 
 
 def lasso_prefix(lasso: Lasso, n: int) -> tuple[frozenset[str], ...]:
     """The first n letters of the lasso's word."""
-    return tuple(lasso.letter_at(i) for i in range(n))
+    return tuple(letter_at(lasso, i) for i in range(n))
+
+
+def lasso_sort_key(lasso: Lasso):
+    """The order of ``plant.sort_lassos``, the reference it is checked
+    against."""
+    return (
+        tuple(tuple(sorted(l)) for l in lasso.stem),
+        tuple(tuple(sorted(l)) for l in lasso.loop),
+    )
+
+
+def plant_to_dict(plant: Plant) -> dict:
+    """The object whose ``json.dumps(indent=2, sort_keys=True)`` text
+    ``plant.dump_plant`` writes, the reference it is checked against."""
+    return {
+        "states": sorted(plant.states),
+        "init": plant.init,
+        "labels": {s: sorted(plant.label(s)) for s in sorted(plant.states)},
+        "controllable": [list(e) for e in sorted(plant.c_edges)],
+        "uncontrollable": [list(e) for e in sorted(plant.u_edges)],
+    }
 
 
 def lasso_suffix(lasso: Lasso, n: int) -> Lasso:

@@ -209,14 +209,6 @@ def test_reduce_synth_decode_matches_oracle(tmp_path, capsys):
     assert (code == 0) == sat_brute(parse_dimacs(cnf_text))
 
 
-def test_threads_env_var_validated(fig1_file, tmp_path, monkeypatch, capsys):
-    f = _formula_file(tmp_path, "exists p. F b[p]")
-    monkeypatch.setenv("HYPERSYNTH_THREADS", "4")
-    assert main(["check", fig1_file, f]) == 0
-    monkeypatch.setenv("HYPERSYNTH_THREADS", "zero")
-    assert main(["check", fig1_file, f]) == 2
-
-
 def test_json_report(fig1_file, tmp_path, capsys):
     f = _formula_file(tmp_path, "exists p. F b[p]")
     assert main(["check", fig1_file, f, "--json"]) == 0
@@ -470,3 +462,30 @@ def test_full_stdout_exits_bad_input_from_a_process(fig1_file, tmp_path):
         )
     assert done.returncode == 2
     assert done.stderr.startswith("error: cannot write stdout")
+
+
+def _fresh_process(args, cwd):
+    env = {**os.environ, "PYTHONPATH": str(Path(hypersynth.__file__).parents[1])}
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+def test_cli_import_loads_only_what_every_command_uses(tmp_path):
+    # reductions, nrp and hashlib are imported by the commands that use them
+    probe = (
+        "import sys, hypersynth.cli; "
+        "print(*[m for m in ('hypersynth.reductions', 'hypersynth.nrp', 'hashlib') "
+        "if m in sys.modules])"
+    )
+    done = _fresh_process(["-c", probe], tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == ""
+    (tmp_path / "in.cnf").write_text("p cnf 3 2\n1 -2 3 0\n-1 2 -3 0\n")
+    reduce = ["-m", "hypersynth.cli", "reduce", "3sat", "in.cnf", "--out-dir", "out"]
+    done = _fresh_process(reduce, tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert json.loads((tmp_path / "out" / "3sat.decoder.json").read_text())["plant_sha256"]
+    done = _fresh_process(["-m", "hypersynth.cli", "casestudy", "--strategy", "correct"], tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert "phi: pass" in done.stdout

@@ -1,5 +1,8 @@
+import copy
 import itertools
+import pickle
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -281,6 +284,68 @@ def test_walks_store_nothing_on_bodies():
     hash(body)
     negate_nnf(desugar(body))
     assert [sorted(vars(node)) for node, _ in post_order(body)] == fields
+
+
+# --- nodes -------------------------------------------------------------------
+
+_A, _B = "Atom(prop='a', var='p')", "Atom(prop='b', var='q')"
+
+
+@pytest.mark.parametrize(
+    "cls, fields, text",
+    [
+        (TrueBool, (), "TrueBool()"),
+        (Atom, ("prop", "var"), "Atom(prop='a', var='p')"),
+        *[
+            (cls, ("operand",), f"{cls.__name__}(operand={_A})")
+            for cls in (Not, Next, Eventually, Globally)
+        ],
+        *[
+            (cls, ("left", "right"), f"{cls.__name__}(left={_A}, right={_B})")
+            for cls in (Or, And, Implies, Iff, Until, Release)
+        ],
+    ],
+)
+def test_nodes_behave_as_frozen_records(cls, fields, text):
+    values = {
+        (): (),
+        ("prop", "var"): ("a", "p"),
+        ("operand",): (Atom("a", "p"),),
+        ("left", "right"): (Atom("a", "p"), Atom("b", "q")),
+    }[fields]
+    node = cls(*values)
+    assert repr(node) == text
+    assert cls.__match_args__ == fields
+    assert vars(node) == dict(zip(fields, values))
+    by_name = cls(**dict(zip(fields, values)))
+    assert vars(by_name) == vars(node) and by_name == node
+    for name in (*fields, "program", "other"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(node, name, TrueBool())
+        with pytest.raises(FrozenInstanceError):
+            delattr(node, name)
+    assert vars(node) == dict(zip(fields, values))
+    for again in (copy.deepcopy(node), pickle.loads(pickle.dumps(node))):
+        assert type(again) is cls and again is not node
+        assert again == node and hash(again) == hash(node) and repr(again) == text
+    with pytest.raises(TypeError):
+        cls(*values, TrueBool())
+    # shared and copied operands: the same tree
+    if fields and fields[0] != "prop":
+        a = Next(Atom("a", "p"))
+        shared = cls(*[a] * len(fields))
+        copied = cls(*[Next(Atom("a", "p")) for _ in fields])
+        assert shared == copied and hash(shared) == hash(copied)
+        twin = next(c for c in (Not, Next, Or, And) if c is not cls and c.__match_args__ == fields)
+        assert shared != twin(*[a] * len(fields))
+
+
+def test_nodes_match_by_position():
+    match Until(Atom("a", "p"), Not(TrueBool())):
+        case Until(Atom(prop, var), Not(TrueBool())):
+            assert (prop, var) == ("a", "p")
+        case _:
+            pytest.fail("no match")
 
 
 # --- fragments ---------------------------------------------------------------

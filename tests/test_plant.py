@@ -25,7 +25,6 @@ from hypersynth.plant import (
     enumerate_traces,
     lasso_equal,
     load_plant,
-    plant_to_dict,
     pruned_traces,
     sort_lassos,
     to_dot,
@@ -35,7 +34,10 @@ from hypersynth.synth import ControllerSolution, apply_solution
 
 from helpers import (
     classify_frame_reference,
+    lasso_sort_key,
     lasso_suffix,
+    letter_at,
+    plant_to_dict,
     random_acyclic_plant,
     random_general_plant,
     random_lasso,
@@ -360,7 +362,7 @@ def test_lasso_masks_match_letters():
         masks = lasso.masks(props, n)
         assert masks == lasso.masks(props, n)  # served from the cache
         for prop, mask in zip(props, masks):
-            expected = sum(1 << i for i in range(n) if prop in lasso.letter_at(i))
+            expected = sum(1 << i for i in range(n) if prop in letter_at(lasso, i))
             assert mask == expected
 
 
@@ -368,7 +370,7 @@ def test_sort_lassos_matches_sort_key():
     rng = random.Random(62)
     for _ in range(300):
         lassos = {random_lasso(rng, props=("a", "b", "c")) for _ in range(rng.randint(0, 25))}
-        assert sort_lassos(lassos) == sorted(lassos, key=Lasso.sort_key)
+        assert sort_lassos(lassos) == sorted(lassos, key=lasso_sort_key)
 
 
 def test_canonical_keeps_reduced_lassos():
@@ -382,8 +384,8 @@ def test_lasso_suffix():
     lasso = Lasso((letter("a"),), (letter("b"), letter()))
     assert lasso_suffix(lasso, 1) == Lasso((), (letter("b"), letter()))
     assert lasso_suffix(lasso, 2) == Lasso((), (letter(), letter("b")))
-    assert lasso.letter_at(0) == letter("a")
-    assert lasso.letter_at(4) == letter()
+    assert letter_at(lasso, 0) == letter("a")
+    assert letter_at(lasso, 4) == letter()
 
 
 # --- JSON + DOT -------------------------------------------------------------
