@@ -72,17 +72,21 @@ Outcome = tuple[Report, bool]
 
 
 def _read(path: str) -> str:
+    """The file's text, decoded as UTF-8 whatever the locale."""
     try:
-        return Path(path).read_text()
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
     except (OSError, UnicodeError) as exc:
         raise HypersynthError(f"cannot read {path}: {exc}") from exc
 
 
-def _write(path: Path, text: str, make_dirs: bool = False) -> None:
+def _write(path: Path | str, text: str, make_dirs: bool = False) -> None:
+    """Write the text as UTF-8 whatever the locale."""
     try:
         if make_dirs:
-            path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
+            Path(path).parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
     except (OSError, UnicodeError) as exc:
         raise HypersynthError(f"cannot write {path}: {exc}") from exc
 
@@ -159,7 +163,7 @@ def cmd_classify(args) -> Outcome:
     plant = _load_plant(args.plant)
     formula = None if args.formula is None else _load_formula(args.formula)
     if args.dot is not None:
-        _write(Path(args.dot), to_dot(plant))
+        _write(args.dot, to_dot(plant))
     return _report(plant, formula), True
 
 
@@ -184,7 +188,7 @@ def _synthesize(
         # the text of json.dumps(witness, indent=2, sort_keys=True), whose
         # indenting encoder is pure Python
         _write(
-            Path(witness),
+            witness,
             "{\n"
             f'  "plant_sha256": "{_sha256(dump_plant(plant))}",\n'
             f'  "retained": {dump_edges(result.solution.retained)}\n'

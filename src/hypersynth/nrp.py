@@ -9,19 +9,22 @@ non-repudiation-of-origin evidence (a2b_nro or t2b_nro), nrr once A holds
 the non-repudiation-of-receipt evidence (b2a_nrr or t2a_nrr).  Outgoing
 edges of T-turn states are controllable (we synthesize the third party);
 everything else, the environment, is uncontrollable.  Leaves close with
-controllable self-loops as every plant state needs an outgoing edge.
+controllable self-loops as every plant state needs an outgoing edge.  The
+tree is built one depth at a time (see :func:`build_plant`).
 
 The effectiveness/fairness objective is the exists-forall formula: some
 behavior delivers m, nrr, and nro, and along every behavior in which A
 (respectively B) acts the same way as in the witness, nrr is delivered
 iff nro is.  The incomplete-information consistency condition is the
 forall-forall formula: behaviors that agree on everything T can observe
-(a2t_m, a2t_nro, b2t_nrr) must agree on T's actions.
+(a2t_m, a2t_nro, b2t_nrr) must agree on T's actions.  The three formulas
+take no input, so each is built and compiled once per process.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Mapping, Sequence
 
 from .errors import ConfigInvalid, PartialStrategy
@@ -171,33 +174,35 @@ def build_plant(cfg: ProtocolConfig) -> Plant:
     "/<action>"), which keeps construction deterministic and states self
     describing.  A state's label is the action that just led to it plus
     the accumulated status propositions.
+
+    The tree is built one depth at a time: the acting role's actions are
+    read once per depth, and a child's status and label once per distinct
+    (parent status, action) pair, of which there are a handful.
     """
-    states: set[str] = set()
-    labels: dict[str, frozenset[str]] = {}
-    c_edges: set[tuple[str, str]] = set()
-    u_edges: set[tuple[str, str]] = set()
-    max_depth = 3 * cfg.rounds
-    # a worklist rather than a recursive closure, which would be a
-    # reference cycle
-    labels["root"] = frozenset()
-    stack = [("root", 0, frozenset())]
-    while stack:
-        state, depth, status = stack.pop()
-        states.add(state)
-        if depth == max_depth:
-            c_edges.add((state, state))  # leaf closure
-            continue
+    labels: dict[str, frozenset[str]] = {"root": frozenset()}
+    c_edges: list[tuple[str, str]] = []
+    u_edges: list[tuple[str, str]] = []
+    step: dict[tuple[frozenset[str], str], tuple[frozenset[str], frozenset[str]]] = {}
+    level = [("root", frozenset())]  # the states of this depth and their status
+    for depth in range(3 * cfg.rounds):
         role = turn_of_depth(depth)
-        round_ix = depth // 3
-        controllable = role == "T"
-        for action in cfg.allowed(role, round_ix):
-            nxt_status = _status_after(status, action)
-            child = f"{state}/{action}"
-            labels[child] = frozenset({action}) | nxt_status
-            (c_edges if controllable else u_edges).add((state, child))
-            stack.append((child, depth + 1, nxt_status))
+        actions = cfg.allowed(role, depth // 3)
+        edges = c_edges if role == "T" else u_edges
+        below = []
+        for state, status in level:
+            for action in actions:
+                got = step.get((status, action))
+                if got is None:
+                    nxt_status = _status_after(status, action)
+                    got = step[status, action] = (nxt_status, frozenset({action}) | nxt_status)
+                child = f"{state}/{action}"
+                labels[child] = got[1]
+                edges.append((state, child))
+                below.append((child, got[0]))
+        level = below
+    c_edges += [(leaf, leaf) for leaf, _ in level]  # leaf closure
     return Plant(
-        states=frozenset(states),
+        states=frozenset(labels),
         init="root",
         c_edges=frozenset(c_edges),
         u_edges=frozenset(u_edges),
@@ -229,6 +234,7 @@ def _consistency_body(pi: str, pi2: str) -> Body:
     return Implies(same_obs, same_act)
 
 
+@cache
 def effectiveness_fairness_formula() -> Formula:
     """exists pi . forall pi' . effectiveness and fairness for A and B."""
     return Formula(
@@ -237,6 +243,7 @@ def effectiveness_fairness_formula() -> Formula:
     )
 
 
+@cache
 def consistency_formula() -> Formula:
     """forall pi . forall pi' . observation-equal behaviors get identical
     third-party actions (incomplete information)."""
@@ -246,6 +253,7 @@ def consistency_formula() -> Formula:
     )
 
 
+@cache
 def combined_objective_formula() -> Formula:
     """Effectiveness/fairness conjoined with consistency as one sentence.
 

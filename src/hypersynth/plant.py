@@ -214,22 +214,34 @@ def sort_lassos(lassos: Iterable[Lasso]) -> list[Lasso]:
     )
 
 
-def canonical(lasso: Lasso) -> Lasso:
-    loop = list(lasso.loop)
-    # primitive period of the loop
+def _reduced(
+    stem: tuple[Letter, ...], loop: tuple[Letter, ...]
+) -> tuple[tuple[Letter, ...], tuple[Letter, ...]]:
+    """The reduced (stem, loop) of the word stem . loop^omega: the loop's
+    primitive period, then the trailing stem letters that merely
+    pre-rotate the loop absorbed into it."""
     n = len(loop)
-    for p in range(1, n + 1):
+    for p in range(1, n):
         if n % p == 0 and loop == loop[:p] * (n // p):
             loop = loop[:p]
             break
-    stem = list(lasso.stem)
-    # absorb stem letters that merely pre-rotate the loop
-    while stem and stem[-1] == loop[-1]:
-        stem.pop()
-        loop = [loop[-1]] + loop[:-1]
+    s, p = len(stem), len(loop)
+    k = 0
+    while k < s and stem[s - 1 - k] == loop[-1 - k % p]:
+        k += 1
+    if k:
+        r = p - k % p  # the loop rotated right by k
+        stem, loop = stem[: s - k], loop[r:] + loop[:r]
+    return stem, loop
+
+
+def canonical(lasso: Lasso) -> Lasso:
+    """The unique reduced representative of the lasso's word: primitive
+    loop, shortest stem.  A reduced lasso is returned as it is."""
+    stem, loop = _reduced(lasso.stem, lasso.loop)
     if len(stem) == len(lasso.stem) and len(loop) == len(lasso.loop):
-        return lasso  # already reduced
-    return Lasso(tuple(stem), tuple(loop))
+        return lasso
+    return Lasso(stem, loop)
 
 
 def lasso_equal(x: Lasso, y: Lasso) -> bool:
@@ -355,7 +367,7 @@ class PlantIndex:
                 i = bit((state, state))
                 if i is not None:
                     used |= 1 << i
-                lasso = canonical(Lasso(labels, (labeling.get(state, empty),)))
+                lasso = Lasso(*_reduced(labels, (labeling.get(state, empty),)))
                 rows.append(PathRow(state, used, lasso))
                 continue
             here = labels + (labeling.get(state, empty),)
@@ -406,6 +418,7 @@ def enumerate_lassos(
     if stem_bound < 0 or loop_bound < 1:
         raise ValueError("bounds must be nonnegative / positive")
     adj = plant.index.adjacency
+    label = plant.label
 
     # walk prefixes up to the stem bound, deduplicated by (state, labels)
     stems: set[tuple[str, tuple[Letter, ...]]] = {(plant.init, ())}
@@ -413,7 +426,7 @@ def enumerate_lassos(
     for _ in range(stem_bound):
         nxt_frontier = []
         for state, labels in frontier:
-            step = labels + (plant.label(state),)
+            step = labels + (label(state),)
             for nxt in adj[state]:
                 key = (nxt, step)
                 if key not in stems:
@@ -421,9 +434,9 @@ def enumerate_lassos(
                     nxt_frontier.append(key)
         frontier = nxt_frontier
 
-    cycle_cache: dict[str, list[tuple[Letter, ...]]] = {}
+    cycle_cache: dict[str, set[tuple[Letter, ...]]] = {}
 
-    def cycles_at(anchor: str) -> list[tuple[Letter, ...]]:
+    def cycles_at(anchor: str) -> set[tuple[Letter, ...]]:
         if anchor in cycle_cache:
             return cycle_cache[anchor]
         found: set[tuple[Letter, ...]] = set()
@@ -432,7 +445,7 @@ def enumerate_lassos(
         for _ in range(loop_bound):
             nxt_walk = []
             for state, labels in walk:
-                step = labels + (plant.label(state),)
+                step = labels + (label(state),)
                 for nxt in adj[state]:
                     if nxt == anchor:
                         found.add(step)
@@ -441,14 +454,12 @@ def enumerate_lassos(
                         seen.add(key)
                         nxt_walk.append(key)
             walk = nxt_walk
-        cycle_cache[anchor] = sorted(found, key=lambda ls: tuple(map(sorted, ls)))
-        return cycle_cache[anchor]
+        cycle_cache[anchor] = found
+        return found
 
-    out: set[Lasso] = set()
-    for state, labels in stems:
-        for loop in cycles_at(state):
-            out.add(canonical(Lasso(labels, loop)))
-    return frozenset(out)
+    # reduce each word as letter tuples, then build one lasso per word
+    words = {_reduced(labels, loop) for state, labels in stems for loop in cycles_at(state)}
+    return frozenset([Lasso(stem, loop) for stem, loop in words])
 
 
 def default_bounds(plant: Plant) -> tuple[int, int]:
@@ -596,17 +607,24 @@ def _json_array(items: list[str], pad: str) -> str:
     return "[" + inner + ("," + inner).join(items) + "\n" + pad + "]"
 
 
+def _dot_escape(text: str) -> str:
+    """Text for inside a DOT quoted string: backslashes and quotes
+    escaped."""
+    return text.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def to_dot(plant: Plant) -> str:
     """Plain structural DOT dump; controllable edges solid, uncontrollable
-    dashed.  No layout logic."""
+    dashed, names and propositions escaped.  No layout logic."""
+    esc = _dot_escape
     lines = ["digraph plant {"]
     for s in sorted(plant.states):
-        props = ",".join(sorted(plant.label(s)))
+        props = esc(",".join(sorted(plant.label(s))))
         shape = ' shape="doublecircle"' if s == plant.init else ""
-        lines.append(f'  "{s}" [label="{s}\\n{{{props}}}"{shape}];')
+        lines.append(f'  "{esc(s)}" [label="{esc(s)}\\n{{{props}}}"{shape}];')
     for a, b in sorted(plant.c_edges):
-        lines.append(f'  "{a}" -> "{b}";')
+        lines.append(f'  "{esc(a)}" -> "{esc(b)}";')
     for a, b in sorted(plant.u_edges):
-        lines.append(f'  "{a}" -> "{b}" [style=dashed];')
+        lines.append(f'  "{esc(a)}" -> "{esc(b)}" [style=dashed];')
     lines.append("}")
     return "\n".join(lines) + "\n"

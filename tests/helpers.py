@@ -33,7 +33,8 @@ from hypersynth.formula import (
     TrueBool,
     Until,
 )
-from hypersynth.plant import FrameKind, Lasso, Plant, enumerate_traces
+from hypersynth.nrp import ACT_A, ACT_B, ACT_T, ProtocolConfig, turn_of_depth
+from hypersynth.plant import FrameKind, Lasso, Plant, canonical, enumerate_traces
 from hypersynth.reductions import CnfInput, NormalizedHorn, QbfInput
 from hypersynth.semantics import eval_quantified
 
@@ -276,9 +277,83 @@ def classify_frame_reference(plant: Plant) -> FrameKind:
     return FrameKind.ACYCLIC
 
 
+def bounded_lassos_reference(
+    plant: Plant, stem_bound: int, loop_bound: int
+) -> frozenset[Lasso]:
+    """``plant.enumerate_lassos`` by brute force: every walk from init of
+    at most stem_bound edges, closed by every walk of 1..loop_bound edges
+    that returns to its last state, each pair reduced with ``canonical``
+    and nothing deduplicated before that."""
+    succ: dict[str, list[str]] = {s: [] for s in plant.states}
+    for a, b in plant.c_edges | plant.u_edges:
+        succ[a].append(b)
+
+    def walks(path: list[str], budget: int):
+        yield path
+        if budget:
+            for t in succ[path[-1]]:
+                yield from walks(path + [t], budget - 1)
+
+    out = set()
+    for stem in walks([plant.init], stem_bound):
+        anchor = stem[-1]
+        for loop in walks([anchor], loop_bound - 1):
+            if anchor in succ[loop[-1]]:
+                lasso = Lasso(tuple(map(plant.label, stem[:-1])), tuple(map(plant.label, loop)))
+                out.add(canonical(lasso))
+    return frozenset(out)
+
+
 def atomic_propositions(plant: Plant) -> frozenset[str]:
     """Every proposition that labels some state of the plant."""
     return frozenset().union(*plant.labeling.values())
+
+
+# --- case-study references --------------------------------------------------
+
+
+def build_plant_reference(cfg: ProtocolConfig) -> Plant:
+    """``nrp.build_plant`` as a depth-first worklist that derives every
+    state's actions, status and label on its own."""
+    states: set[str] = set()
+    labels: dict[str, frozenset[str]] = {}
+    c_edges: set[tuple[str, str]] = set()
+    u_edges: set[tuple[str, str]] = set()
+    effect = {
+        "a2b_m": "m", "t2b_m": "m", "a2b_nro": "nro",
+        "t2b_nro": "nro", "b2a_nrr": "nrr", "t2a_nrr": "nrr",
+    }
+    per_role = {"A": cfg.a_actions, "T": cfg.t_actions, "B": cfg.b_actions}
+    labels["root"] = frozenset()
+    stack = [("root", 0, frozenset())]
+    while stack:
+        state, depth, status = stack.pop()
+        states.add(state)
+        if depth == 3 * cfg.rounds:
+            c_edges.add((state, state))
+            continue
+        role = turn_of_depth(depth)
+        for action in sorted(per_role[role][depth // 3]):
+            nxt_status = status | {effect[action]} if action in effect else status
+            child = f"{state}/{action}"
+            labels[child] = frozenset({action}) | nxt_status
+            (c_edges if role == "T" else u_edges).add((state, child))
+            stack.append((child, depth + 1, nxt_status))
+    return Plant(frozenset(states), "root", frozenset(c_edges), frozenset(u_edges), labels)
+
+
+def random_protocol_config(rng: random.Random, max_rounds: int = 3) -> ProtocolConfig:
+    """Random per-round allowlists: each role action offered with
+    probability 0.35 (skip is always added by the config)."""
+
+    def pick(actions, rounds):
+        return tuple(
+            frozenset(a for a in actions if not a.endswith("_skip") and rng.random() < 0.35)
+            for _ in range(rounds)
+        )
+
+    rounds = rng.randint(1, max_rounds)
+    return ProtocolConfig(rounds, pick(ACT_A, rounds), pick(ACT_T, rounds), pick(ACT_B, rounds))
 
 
 # --- exhaustive synthesis oracle ---------------------------------------------

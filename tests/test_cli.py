@@ -489,3 +489,35 @@ def test_cli_import_loads_only_what_every_command_uses(tmp_path):
     done = _fresh_process(["-m", "hypersynth.cli", "casestudy", "--strategy", "correct"], tmp_path)
     assert done.returncode == 0, done.stderr
     assert "phi: pass" in done.stdout
+
+
+def test_files_are_utf8_whatever_the_locale(fig1_file, tmp_path):
+    # under the C locale without UTF-8 mode the locale encoding is ASCII
+    env = {
+        **os.environ,
+        "PYTHONPATH": str(Path(hypersynth.__file__).parents[1]),
+        "LC_ALL": "C",
+        "PYTHONUTF8": "0",
+        "PYTHONCOERCECLOCALE": "0",
+    }
+
+    def run(*args):
+        return subprocess.run(
+            [sys.executable, "-m", "hypersynth.cli", *args],
+            cwd=tmp_path, env=env, capture_output=True, timeout=60,
+        )
+
+    (tmp_path / "utf8.hltl").write_bytes("exists té. F b[té]\n".encode())
+    (tmp_path / "latin1.hltl").write_bytes("exists té. F b[té]\n".encode("latin-1"))
+    done = run("check", fig1_file, "utf8.hltl")
+    assert done.returncode == 0, done.stderr
+    assert b"verdict: satisfied" in done.stdout
+    done = run("check", fig1_file, "latin1.hltl")
+    assert done.returncode == 2
+    assert done.stderr.startswith(b"error: cannot read latin1.hltl")
+    # the plant file is ASCII: its JSON escapes the name
+    (tmp_path / "p.json").write_text(json.dumps(FIG1).replace("sinit", "s\\u00e9"))
+    done = run("classify", "p.json", "--dot", "p.dot")
+    assert done.returncode == 0, done.stderr
+    dot = (tmp_path / "p.dot").read_bytes().decode("utf-8")
+    assert '"sé" [label="sé\\n{a}" shape="doublecircle"];' in dot

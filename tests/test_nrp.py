@@ -1,4 +1,5 @@
 import gc
+import random
 
 import pytest
 
@@ -25,7 +26,7 @@ from hypersynth.plant import FrameKind, classify_frame, enumerate_traces, valida
 from hypersynth.semantics import check
 from hypersynth.synth import apply_solution
 
-from helpers import lasso_prefix, successors
+from helpers import build_plant_reference, lasso_prefix, random_protocol_config, successors
 
 
 def full_config(rounds: int) -> ProtocolConfig:
@@ -77,6 +78,19 @@ def test_all_skip_config_is_a_chain():
 def test_build_plant_always_tree():
     for cfg in (curated_config(), full_config(1), skip_config(3)):
         assert classify_frame(build_plant(cfg)) is FrameKind.TREE
+
+
+def test_build_plant_matches_depth_first_reference():
+    configs = [curated_config(), full_config(1), full_config(2), skip_config(1), skip_config(3)]
+    rng = random.Random(15)
+    configs += [random_protocol_config(rng) for _ in range(300)]
+    for cfg in configs:
+        assert build_plant(cfg) == build_plant_reference(cfg), cfg
+
+
+def test_formulas_are_built_once():
+    for make in (effectiveness_fairness_formula, consistency_formula, combined_objective_formula):
+        assert make() is make()
 
 
 def test_status_propositions_are_monotone():

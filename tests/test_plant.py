@@ -1,6 +1,7 @@
 import json
 import random
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +34,7 @@ from hypersynth.plant import (
 from hypersynth.synth import ControllerSolution, apply_solution
 
 from helpers import (
+    bounded_lassos_reference,
     classify_frame_reference,
     lasso_sort_key,
     lasso_suffix,
@@ -278,6 +280,41 @@ def test_lassos_monotone_in_bounds():
         assert small <= enumerate_lassos(plant, 2, 3)
 
 
+def test_lassos_match_walk_oracle():
+    rng = random.Random(15)
+    for _ in range(60):
+        plant = random_general_plant(rng)
+        for stem_bound in range(5):
+            for loop_bound in range(1, 5):
+                expected = bounded_lassos_reference(plant, stem_bound, loop_bound)
+                assert enumerate_lassos(plant, stem_bound, loop_bound) == expected
+    for i in range(60):
+        plant = (random_tree_plant, random_acyclic_plant)[i % 2](rng)
+        bound = len(plant.states)
+        expected = bounded_lassos_reference(plant, bound, 1)
+        assert enumerate_lassos(plant, bound, 1) == expected == enumerate_traces(plant)
+
+
+def test_path_lassos_are_the_canonical_path_words():
+    rng = random.Random(16)
+    for i in range(200):
+        plant = (random_tree_plant, random_acyclic_plant)[i % 2](rng)
+        idx = plant.index
+        expected = []
+        stack = [(plant.init, (), 0)]  # state, labels so far, c-edge mask
+        while stack:
+            state, labels, used = stack.pop()
+            for nxt in successors(plant, state):
+                bit = idx.c_bit.get((state, nxt))
+                edge_used = used if bit is None else used | 1 << bit
+                if nxt == state:
+                    lasso = canonical(Lasso(labels, (plant.label(state),)))
+                    expected.append((state, edge_used, lasso))
+                else:
+                    stack.append((nxt, labels + (plant.label(state),), edge_used))
+        assert Counter(map(tuple, idx.paths)) == Counter(expected)
+
+
 # --- pruned trace sets -----------------------------------------------------
 
 
@@ -431,6 +468,18 @@ def test_plant_json_rejects_bad_edge_shape():
     )
     with pytest.raises(PlantFormatError):
         load_plant(doc)
+
+
+def test_dot_escapes_quotes_and_backslashes():
+    plant = Plant({'s"0', "a\\b"}, 's"0', {('s"0', "a\\b")}, {("a\\b", "a\\b")}, {'s"0': {'p"'}})
+    assert to_dot(plant).splitlines() == [
+        "digraph plant {",
+        '  "a\\\\b" [label="a\\\\b\\n{}"];',
+        '  "s\\"0" [label="s\\"0\\n{p\\"}" shape="doublecircle"];',
+        '  "s\\"0" -> "a\\\\b";',
+        '  "a\\\\b" -> "a\\\\b" [style=dashed];',
+        "}",
+    ]
 
 
 def test_dot_dump_mentions_every_edge(fig1_plant):
