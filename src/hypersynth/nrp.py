@@ -138,12 +138,25 @@ def config_from_dict(data: dict) -> ProtocolConfig:
             raise ConfigInvalid(f"rounds must be an integer, not {rounds!r}")
         return ProtocolConfig(
             rounds=rounds,
-            a_actions=tuple(frozenset(r) for r in actions["A"]),
-            t_actions=tuple(frozenset(r) for r in actions["T"]),
-            b_actions=tuple(frozenset(r) for r in actions["B"]),
+            a_actions=_round_actions(actions, "A"),
+            t_actions=_round_actions(actions, "T"),
+            b_actions=_round_actions(actions, "B"),
         )
     except (KeyError, TypeError) as exc:
         raise ConfigInvalid(f"malformed protocol config: {exc}") from exc
+
+
+def _round_actions(actions: dict, role: str) -> tuple[frozenset[str], ...]:
+    """The role's action set per round; each round must be an array of
+    strings (a bare string would otherwise be read as its characters)."""
+    rounds = []
+    for i, acts in enumerate(actions[role], 1):
+        if not isinstance(acts, list) or not all(isinstance(a, str) for a in acts):
+            raise ConfigInvalid(
+                f"{role} actions of round {i} must be an array of strings, not {acts!r}"
+            )
+        rounds.append(frozenset(acts))
+    return tuple(rounds)
 
 
 def config_to_dict(cfg: ProtocolConfig) -> dict:

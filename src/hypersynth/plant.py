@@ -309,6 +309,14 @@ class PlantIndex:
             mask |= 1 << bit[e]
         return mask
 
+    def c_choices(self) -> Iterator[tuple[int, bool]]:
+        """One entry per state with controllable out-edges, in state order:
+        the mask of those edges, and whether the state also has an
+        uncontrollable way out."""
+        u_succ = self.u_succ
+        for s, succ in sorted(self.c_succ.items()):
+            yield self.c_mask([(s, t) for t in succ]), s in u_succ
+
     @cached_property
     def terminals(self) -> frozenset[str]:
         """States whose only outgoing transition is a self-loop."""

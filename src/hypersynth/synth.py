@@ -2,24 +2,19 @@
 plant can be restricted so the pruned plant satisfies a closed formula,
 and produce a witness controller.
 
-Four routes:
+Three routes:
 
-* synth_generic, universal prefixes on tree/acyclic frames - a
-  core-guided search for a minimum set of removed edges (:func:`_min_removal`).
-  Each failed pruning's falsifying trace tuple becomes a blocking clause
-  over controllable edges: a passing pruning cuts one of the paths that
-  carried the tuple.  Removal sets are tried by increasing size, and each
-  one that hits every clause is judged on its trace set from
-  :func:`~hypersynth.plant.pruned_traces`, so the first that passes is a
-  maximally permissive witness.
-* synth_generic, every other prefix and general frames - guess-and-check
-  over the valid candidate space, in decreasing retained-edge order (the
-  full plant first, so existential formulas are settled by a single
-  model-checking call and the returned witness is maximally permissive).
-  Each candidate is judged on its trace set from ``pruned_traces``.  For
-  purely universal prefixes a failed candidate yields a falsifying trace
-  tuple, and any later candidate whose trace set contains that tuple is
-  skipped without re-evaluation.
+* synth_generic, every prefix and frame - one search for a minimum set of
+  removed controllable edges (:func:`_min_removal`), over removal sets of
+  increasing size under the deadlock rule, so the first pruning that
+  passes is a maximally permissive witness.  Universal prefixes on
+  tree/acyclic frames extend a set only by the edges of a blocking clause:
+  each failed pruning's falsifying trace tuple becomes a clause over
+  controllable edges, as a passing pruning cuts one of the paths that
+  carried the tuple.  Every other case extends a set by every removable
+  edge, judging each deadlock-free pruning once; for a universal prefix a
+  pruning whose traces hold an earlier falsifying tuple is skipped, and
+  an existential prefix stops after the full plant.
 * synth_tree_exists_forall - trees with an E*A prefix: enumerate
   existential witness tuples from the full plant's trace set, then decide
   bottom-up which subtrees can be kept (nodes with an uncontrollable
@@ -32,11 +27,12 @@ Four routes:
   prune to the marked branches, re-checking that uncontrollable
   transitions do not force unmarked leaves back in.
 
-Both searches build one :class:`~hypersynth.semantics.BodyBatch` per
-synthesis, over the full plant's traces, and judge each pruning inside it
-(:func:`~hypersynth.semantics.eval_batch`): a pruning's traces are a
-subset of the full plant's (exact paths, or lassos under the same bounds),
-so a tuple prefix is evaluated once per synthesis, not once per pruning.
+The removal search builds one :class:`~hypersynth.semantics.BodyBatch`
+per synthesis, over the full plant's traces, and judges each pruning
+inside it (:func:`~hypersynth.semantics.eval_batch`): a pruning's traces
+are a subset of the full plant's (exact paths, or lassos under the same
+bounds), so a tuple prefix is evaluated once per synthesis, not once per
+pruning.
 
 Both tree routes prune with one walk (:func:`_prune`): given a leaf test,
 it keeps every uncontrollable child and every keepable controllable
@@ -53,7 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations, product
+from itertools import product
 from math import log2
 from typing import Iterator, Optional
 
@@ -134,67 +130,16 @@ def apply_solution(plant: Plant, sol: ControllerSolution) -> Plant:
     return pruned
 
 
-# --- candidate enumeration --------------------------------------------------
-
-
-def _choice_points(plant: Plant) -> list[tuple[str, list[Edge], bool]]:
-    """Per state: its controllable out-edges (sorted) and whether it also
-    has an uncontrollable out-edge.  Only states with controllable
-    out-edges are choice points."""
-    idx = plant.index
-    return [
-        (s, [(s, t) for t in succ], s in idx.u_succ)
-        for s, succ in sorted(idx.c_succ.items())
-    ]
+# --- removal search ----------------------------------------------------------
 
 
 def candidate_space_bits(plant: Plant) -> float:
     """log2 of the number of deadlock-free retained-edge subsets."""
     bits = 0.0
-    for _, edges, has_u in _choice_points(plant):
-        count = 2 ** len(edges) if has_u else 2 ** len(edges) - 1
-        bits += log2(count)
+    for out, has_u in plant.index.c_choices():
+        n = out.bit_count()
+        bits += log2(2**n if has_u else 2**n - 1)
     return bits
-
-
-def _removals(plant: Plant) -> Iterator[frozenset[Edge]]:
-    """All edge-removal sets that keep every state deadlock-free, in
-    increasing order of removal count (hence decreasing retained size),
-    deterministic within each size.
-
-    A choice point with nothing removable (one controllable out-edge and
-    no uncontrollable one) only ever contributes the empty set, so it is
-    left out: the recursion is then as deep as the points with a choice,
-    at most one per bit of the candidate space."""
-    buckets: list[list[list[frozenset[Edge]]]] = []
-    for _, edges, has_u in _choice_points(plant):
-        max_k = len(edges) if has_u else len(edges) - 1
-        if max_k == 0:
-            continue
-        buckets.append(
-            [[frozenset(c) for c in combinations(edges, k)] for k in range(max_k + 1)]
-        )
-    total_max = sum(len(b) - 1 for b in buckets)
-    for size in range(total_max + 1):
-        for parts in _split(buckets, 0, size):
-            yield frozenset().union(*parts) if parts else frozenset()
-
-
-def _split(
-    buckets: list[list[list[frozenset[Edge]]]], idx: int, remaining: int
-) -> Iterator[tuple[frozenset[Edge], ...]]:
-    """Every way to remove `remaining` edges from the choice points from idx
-    on, one removal set per point, in order.  A module function rather than
-    a recursive closure, which would be a reference cycle left to the
-    cyclic collector on every search."""
-    if idx == len(buckets):
-        if remaining == 0:
-            yield ()
-        return
-    for k in range(min(remaining, len(buckets[idx]) - 1) + 1):
-        for combo in buckets[idx][k]:
-            for rest in _split(buckets, idx + 1, remaining - k):
-                yield (combo,) + rest
 
 
 def synth_generic(
@@ -204,17 +149,12 @@ def synth_generic(
     max_candidate_bits: Optional[int] = DEFAULT_MAX_CANDIDATE_BITS,
     horizon: int = DEFAULT_HORIZON,
 ) -> SynthesisResult:
-    """Candidate search realizing the guess-and-check membership bound.
-
-    Searches valid prunings in decreasing retained-set size; the first
-    passing candidate (which is the most permissive one) wins.  For
-    existential prefixes only the full plant is relevant: pruning shrinks
-    the trace set, which can never help an E* formula.  Every candidate is
-    judged inside one batch over the full plant's traces.  Universal
-    prefixes on tree/acyclic frames take the core-guided search of
-    :func:`_min_removal` instead of the candidate walk.  The candidate
-    space guard refuses searches beyond 2**max_candidate_bits candidates
-    (pass None to disable).
+    """Guess-and-check over the deadlock-free prunings, realizing the
+    membership bound, for every prefix and frame: :func:`_min_removal`
+    finds a least set of removed edges, so the witness is maximally
+    permissive.  The candidate space guard refuses searches beyond
+    2**max_candidate_bits candidates (pass None to disable); existential
+    prefixes bypass it, as only the full plant is judged for them.
 
     On a general frame every pruning is judged on its bounded lasso set,
     acyclic prunings included, so the search can answer BoundedUnknown
@@ -223,39 +163,11 @@ def synth_generic(
     """
     validate(plant)
     kind = classify_fragment(f).kind
-    existential_only = kind is FragmentKind.E_STAR
-    if not existential_only and max_candidate_bits is not None:
+    if kind is not FragmentKind.E_STAR and max_candidate_bits is not None:
         bits = candidate_space_bits(plant)
         if bits > max_candidate_bits:
             raise CandidateSpaceExceeded(bits, max_candidate_bits)
-    if kind is FragmentKind.A_STAR and plant.index.frame is not FrameKind.GENERAL:
-        return _min_removal(plant, f, horizon)
-
-    # every candidate's traces are a subset of the full plant's, judged in
-    # one batch over those
-    full, exact = pruned_traces(plant, bounds=bounds)
-    batch = BodyBatch(f, sort_lassos(full), horizon, {})
-    # a failed purely universal candidate leaves its falsifying tuple as a
-    # core (other prefixes leave none); a later trace set holding a core
-    # fails too
-    cores: list[frozenset[Lasso]] = []
-    for removed in _removals(plant):  # the full plant comes first
-        retained = plant.c_edges - removed
-        traces = pruned_traces(plant, retained, bounds)[0] if removed else full
-        if any(core <= traces for core in cores):
-            continue
-        ok, witness = eval_batch(batch, traces)
-        if ok:
-            return SynthesisResult(
-                Verdict.REALIZABLE, ControllerSolution(retained), exact
-            )
-        if existential_only:
-            break  # smaller trace sets cannot satisfy an existential formula
-        if witness is not None:
-            cores.append(frozenset(witness))
-    if exact:
-        return SynthesisResult(Verdict.UNREALIZABLE, None, True)
-    return SynthesisResult(Verdict.BOUNDED_UNKNOWN, None, False)
+    return _min_removal(plant, f, kind, bounds, horizon)
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -266,39 +178,61 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _min_removal(plant: Plant, f: Formula, horizon: int) -> SynthesisResult:
-    """A universal prefix on a tree/acyclic frame: a minimum removal set
-    by counterexample-guided search (CEGIS, Solar-Lezama et al., ASPLOS
-    2006, run as implicit hitting sets, Davies & Bacchus, CP 2011).
+def _min_removal(
+    plant: Plant,
+    f: Formula,
+    kind: FragmentKind,
+    bounds: Optional[tuple[int, int]],
+    horizon: int,
+) -> SynthesisResult:
+    """A minimum set of removed controllable edges (a mask over
+    :attr:`~hypersynth.plant.PlantIndex.c_bit`) whose pruning satisfies f.
 
-    A universal formula that fails on a trace set fails on every superset,
-    so each falsifying tuple blocks every removal set that leaves one
-    surviving path of each of its traces: a passing removal set must
-    contain one of those paths' removable edges (a clause).  Removal sets
-    are expanded by increasing size, each at most once: a set that misses
-    a clause is extended by each edge of the first such clause; a set that
-    hits every clause is judged on its traces, unless a stored falsifying
-    tuple (a core) lies in them, and either passes (the least removal, so
-    a maximum witness) or yields a new clause.  An edge is not removed
-    when it is its state's last way out (deadlock freedom), and an empty
-    clause, or no set left to expand, means Unrealizable.  Every pruning
-    is judged inside one batch over the full plant's traces."""
+    Removal sets are expanded by increasing size, each at most once, and
+    the first whose pruning passes is the witness.  An edge is not removed
+    when it is its state's last way out (deadlock freedom).  Every pruning
+    is judged on its traces from :func:`~hypersynth.plant.pruned_traces`,
+    inside one batch over the full plant's traces, a superset of each
+    pruning's.  How a set is extended depends on the prefix and frame:
+
+    * A universal prefix on a tree/acyclic frame: counterexample-guided
+      (CEGIS, Solar-Lezama et al., ASPLOS 2006, run as implicit hitting
+      sets, Davies & Bacchus, CP 2011).  A universal formula that fails on
+      a trace set fails on every superset, so each falsifying tuple blocks
+      every removal set that leaves one surviving path of each of its
+      traces: a passing removal set must contain one of those paths'
+      removable edges (a clause).  A set that misses a clause is extended
+      by each edge of the first such clause; a set that hits every clause
+      is judged and either passes or yields a new clause.  An empty clause
+      means Unrealizable.
+    * Every other case: each set is extended by each removable edge above
+      its highest one, so every deadlock-free pruning is reached once, by
+      size and then in lexicographic order of the removed edges.  An
+      existential prefix stops after the full plant: pruning only shrinks
+      the trace set, which never helps an existential formula.
+
+    For a universal prefix, a pruning whose traces hold a stored
+    falsifying tuple (a core) fails without being judged.  No set left to
+    expand means Unrealizable, or BoundedUnknown on a general frame."""
     idx = plant.index
     edges = list(idx.c_bit)  # by bit position
-    batch = BodyBatch(f, sort_lassos(pruned_traces(plant)[0]), horizon, {})
+    full, exact = pruned_traces(plant, bounds=bounds)
+    batch = BodyBatch(f, sort_lassos(full), horizon, {})
     removable = 0
     # per edge bit position, the controllable out-edges of its source when
     # the source has no uncontrollable way out: they may not all go
     last_way: dict[int, int] = {}
-    for s, succ in idx.c_succ.items():
-        out = idx.c_mask((s, t) for t in succ)
-        if s in idx.u_succ:
+    for out, has_u in idx.c_choices():
+        if has_u:
             removable |= out
-        elif len(succ) > 1:
+        elif out & out - 1:  # two edges or more
             removable |= out
             last_way.update(dict.fromkeys(_bits(out), out))
+    guided = kind is FragmentKind.A_STAR and exact
     clauses: list[int] = []
     cores: list[frozenset[Lasso]] = []
+    # guided extension can reach a set from several parents; otherwise a
+    # set's one parent is itself less its highest edge, and seen stays {0}
     level, seen = [0], {0}
     while level:
         following = []
@@ -306,27 +240,37 @@ def _min_removal(plant: Plant, f: Formula, horizon: int) -> SynthesisResult:
             clause = next((c for c in clauses if not c & removed), None)
             if clause is None:
                 retained = plant.c_edges.difference([edges[i] for i in _bits(removed)])
-                traces, _ = pruned_traces(plant, retained)
+                traces = pruned_traces(plant, retained, bounds)[0] if removed else full
                 core = next((c for c in cores if c <= traces), None)
                 if core is None:
                     ok, witness = eval_batch(batch, traces)
                     if ok:
                         solution = ControllerSolution(retained)
-                        return SynthesisResult(Verdict.REALIZABLE, solution, True)
-                    core = frozenset(witness)
-                    cores.append(core)
-                clause = _blocking_clause(idx.surviving(removed), core) & removable
-                if not clause:
-                    return SynthesisResult(Verdict.UNREALIZABLE, None, True)
-                clauses.append(clause)
+                        return SynthesisResult(Verdict.REALIZABLE, solution, exact)
+                    if kind is FragmentKind.E_STAR:
+                        break  # the full plant was the only set
+                    if witness is not None:
+                        core = frozenset(witness)
+                        cores.append(core)
+                if guided:
+                    clause = _blocking_clause(idx.surviving(removed), core) & removable
+                    if not clause:
+                        return SynthesisResult(Verdict.UNREALIZABLE, None, True)
+                    clauses.append(clause)
+            if not guided:
+                top = removed.bit_length()
+                clause = removable >> top << top
             for i in _bits(clause):
                 child = removed | 1 << i
                 way = last_way.get(i)
                 if child not in seen and (way is None or child & way != way):
-                    seen.add(child)
+                    if guided:
+                        seen.add(child)
                     following.append(child)
         level = following
-    return SynthesisResult(Verdict.UNREALIZABLE, None, True)
+    if exact:
+        return SynthesisResult(Verdict.UNREALIZABLE, None, True)
+    return SynthesisResult(Verdict.BOUNDED_UNKNOWN, None, False)
 
 
 def _blocking_clause(paths: Iterator[PathRow], core: frozenset[Lasso]) -> int:
@@ -535,7 +479,7 @@ def dispatch(
     horizon: int = DEFAULT_HORIZON,
 ) -> SynthesisResult:
     """Route to the specialized tree algorithm matching the (frame,
-    fragment) pair, falling back to generic candidate search."""
+    fragment) pair, falling back to the removal search of synth_generic."""
     validate(plant)
     frame = classify_frame(plant)
     fragment = classify_fragment(f)

@@ -34,7 +34,14 @@ from hypersynth.formula import (
     Until,
 )
 from hypersynth.nrp import ACT_A, ACT_B, ACT_T, ProtocolConfig, turn_of_depth
-from hypersynth.plant import FrameKind, Lasso, Plant, canonical, enumerate_traces
+from hypersynth.plant import (
+    FrameKind,
+    Lasso,
+    Plant,
+    canonical,
+    enumerate_lassos,
+    enumerate_traces,
+)
 from hypersynth.reductions import CnfInput, NormalizedHorn, QbfInput
 from hypersynth.semantics import eval_quantified
 
@@ -359,10 +366,13 @@ def random_protocol_config(rng: random.Random, max_rounds: int = 3) -> ProtocolC
 # --- exhaustive synthesis oracle ---------------------------------------------
 
 
-def synth_brute(plant: Plant, f: Formula) -> tuple[bool, Optional[frozenset]]:
+def synth_brute(
+    plant: Plant, f: Formula, bounds: Optional[tuple[int, int]] = None
+) -> tuple[bool, Optional[frozenset]]:
     """Enumerate all 2^|c| retained subsets, keep the deadlock-free ones,
-    and exactly model-check each pruning.  Returns (realizable, one maximal
-    witness or None)."""
+    and model-check each pruning: exactly, or on its lassos within the
+    given (stem, loop) bounds.  Returns (realizable, one maximal witness
+    or None)."""
     edges = sorted(plant.c_edges)
     best: Optional[frozenset] = None
     for mask in range(2 ** len(edges)):
@@ -373,7 +383,11 @@ def synth_brute(plant: Plant, f: Formula) -> tuple[bool, Optional[frozenset]]:
         if any(n == 0 for n in out.values()):
             continue
         pruned = Plant(plant.states, plant.init, retained, plant.u_edges, plant.labeling)
-        if eval_quantified(f, enumerate_traces(pruned)):
+        if bounds is None:
+            traces = enumerate_traces(pruned)
+        else:
+            traces = enumerate_lassos(pruned, *bounds)
+        if eval_quantified(f, traces):
             if best is None or len(retained) > len(best):
                 best = retained
     return best is not None, best

@@ -245,6 +245,19 @@ def test_casestudy_config_round_count_must_be_an_integer(tmp_path, capsys, round
     assert len(err) == 1 and "rounds must be an integer" in err[0]
 
 
+_ROUND_ENTRIES = {"string": '"a2t_m"', "mixed": '["a2t_m", 1]', "object": '{"a2t_m": 1}'}
+
+
+@pytest.mark.parametrize("entry", _ROUND_ENTRIES.values(), ids=_ROUND_ENTRIES.keys())
+def test_casestudy_config_round_entry_must_be_an_array_of_strings(tmp_path, capsys, entry):
+    # a bare string is refused, not read as its characters '2', '_', 'a', ...
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"rounds": 1, "actions": {"A": [' + entry + '], "T": [[]], "B": [[]]}}')
+    assert main(["casestudy", "--strategy", "correct", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "A actions of round 1 must be an array of strings" in err[0]
+
+
 # JSON that the standard library refuses with an error other than a
 # JSONDecodeError: nesting past the recursion limit, and an integer past
 # the digit limit for int conversion

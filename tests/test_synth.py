@@ -158,7 +158,21 @@ def test_generic_returns_maximal_witness():
             assert len(got.solution.retained) == len(best)
 
 
-def test_candidates_come_in_a_fixed_order():
+def _judged(monkeypatch, limit: float = float("inf")) -> list:
+    """The retained sets the removal search reads traces for, in order;
+    None stands for the full plant.  Reading more than limit fails."""
+    calls = []
+
+    def recording(plant, retained=None, bounds=None):
+        calls.append(retained)
+        assert len(calls) <= limit, "too many prunings read"
+        return pruned_traces(plant, retained, bounds)
+
+    monkeypatch.setattr(hypersynth.synth, "pruned_traces", recording)
+    return calls
+
+
+def test_candidates_come_in_a_fixed_order(monkeypatch):
     # the order decides which of several equally permissive witnesses wins
     plant = Plant(
         {"a", "b", "x", "y"},
@@ -169,12 +183,14 @@ def test_candidates_come_in_a_fixed_order():
     )
     # a must keep one of its edges; b may lose both
     ax, ay, bx, by = ("a", "x"), ("a", "y"), ("b", "x"), ("b", "y")
-    assert list(hypersynth.synth._removals(plant)) == [
+    judged = _judged(monkeypatch)
+    assert not synth_generic(plant, parse("exists p. forall q. false")).realizable
+    assert judged[0] is None  # the full plant first
+    assert [plant.c_edges - r for r in judged[1:]] == [
         frozenset(e)
         for e in (
-            (),
-            (bx,), (by,), (ax,), (ay,),
-            (bx, by), (ax, bx), (ax, by), (ay, bx), (ay, by),
+            (ax,), (ay,), (bx,), (by,),
+            (ax, bx), (ax, by), (ay, bx), (ay, by), (bx, by),
             (ax, bx, by), (ay, bx, by),
         )
     ]
@@ -208,18 +224,17 @@ def test_candidate_guard_trips_before_the_universal_search():
         dispatch(plant, parse("forall p. forall q. G(a[p] <-> a[q])"))
 
 
-class _Walked(Exception):
-    """Raised by a candidate walk that the search was not to take."""
-
-
-def _no_walk(plant):
-    raise _Walked()
+def _unsatisfiable_cnf():
+    """Every sign pattern over three variables: about 2^22.5 candidates."""
+    lines = [
+        " ".join(str(v if sign else -v) for v, sign in zip((1, 2, 3), signs)) + " 0"
+        for signs in product((True, False), repeat=3)
+    ]
+    return threesat_to_instance(parse_dimacs("p cnf 3 8\n" + "\n".join(lines) + "\n"))
 
 
 def test_universal_search_matches_bruteforce_on_trees_and_dags(monkeypatch):
-    # A* prefixes on exact frames take the core-guided search, never the
-    # candidate walk, and find a maximum passing pruning
-    monkeypatch.setattr(hypersynth.synth, "_removals", _no_walk)
+    # A* prefixes on exact frames find a maximum passing pruning
     rng = random.Random(30)
     realizable = 0
     for i in range(240):
@@ -234,19 +249,76 @@ def test_universal_search_matches_bruteforce_on_trees_and_dags(monkeypatch):
             assert len(got.solution.retained) == len(best)
             assert check(apply_solution(plant, got.solution), f).holds
     assert 0 < realizable < 240
-    # general frames still walk the candidates
+    # their blocking clauses read few of the 2^22.5 prunings of the CNF
+    inst = _unsatisfiable_cnf()
+    judged = _judged(monkeypatch, limit=2**10)
+    assert dispatch(inst.plant, inst.formula).verdict is Verdict.UNREALIZABLE
+    # on general frames every deadlock-free pruning is read
     general = Plant({"x", "y"}, "x", {("x", "y"), ("x", "x")}, {("y", "x")}, {})
-    with pytest.raises(_Walked):
-        dispatch(general, parse("forall p. G a[p]"))
+    judged.clear()
+    res = dispatch(general, parse("forall p. G a[p]"))
+    assert res.verdict is Verdict.BOUNDED_UNKNOWN
+    assert len(judged) == 2 ** candidate_space_bits(general) == 3
+
+
+def test_search_matches_bruteforce_on_alternating_prefixes():
+    # three-variable prefixes with a quantifier alternation: the search
+    # judges every deadlock-free pruning, smallest removal first
+    prefixes = ((A, E, A), (E, A, E), (A, A, E), (E, E, A), (A, E, E))
+    rng = random.Random(31)
+    realizable = 0
+    for i in range(250):
+        grow = random_tree_plant if i % 2 else random_acyclic_plant
+        plant = grow(rng, max_states=8, max_c_edges=7)
+        f = random_prefix_formula(rng, prefixes[i % 5], budget=5)
+        expected, best = synth_brute(plant, f)
+        got = synth_generic(plant, f)
+        assert got.realizable == expected and got.exact
+        if expected:
+            realizable += 1
+            assert len(got.solution.retained) == len(best)
+            assert check(apply_solution(plant, got.solution), f).holds
+    assert 0 < realizable < 250
+    # general frames, every pruning judged on its lassos within the bounds
+    realizable = 0
+    for i in range(150):
+        plant = random_general_plant(rng, max_states=5, c_frac=0.5)
+        while classify_frame(plant) is not FrameKind.GENERAL:
+            plant = random_general_plant(rng, max_states=5, c_frac=0.5)
+        f = random_prefix_formula(rng, prefixes[i % 5], budget=5)
+        bounds = (3, 2)
+        expected, best = synth_brute(plant, f, bounds)
+        got = synth_generic(plant, f, bounds)
+        assert got.realizable == expected and not got.exact
+        if expected:
+            realizable += 1
+            assert len(got.solution.retained) == len(best)
+        else:
+            assert got.verdict is Verdict.BOUNDED_UNKNOWN
+    assert 0 < realizable < 150
+
+
+def test_exhaustive_search_reads_each_pruning_once(monkeypatch):
+    # ten choice points, each with a controllable and an uncontrollable
+    # way out: 2^10 prunings, none of which satisfies the sentence
+    states, c_edges, u_edges = {"r"}, set(), set()
+    for i in range(10):
+        c, kids = f"c{i}", (f"a{i}", f"b{i}")
+        states |= {c, *kids}
+        u_edges |= {("r", c), (c, kids[1])} | {(k, k) for k in kids}
+        c_edges.add((c, kids[0]))
+    plant = Plant(states, "r", c_edges, u_edges, {"a0": {"a"}})
+    assert classify_frame(plant) is FrameKind.TREE
+    assert candidate_space_bits(plant) == 10
+    judged = _judged(monkeypatch)
+    res = synth_generic(plant, parse("forall p. exists q. a[p] & !a[q]"))
+    assert res.verdict is Verdict.UNREALIZABLE
+    assert len(judged) == 2**10 and judged[0] is None
+    assert len(set(judged)) == len(judged)
 
 
 def test_unsatisfiable_cnf_is_decided_quickly():
-    # every sign pattern over three variables: about 2^22.5 candidates
-    lines = [
-        " ".join(str(v if sign else -v) for v, sign in zip((1, 2, 3), signs)) + " 0"
-        for signs in product((True, False), repeat=3)
-    ]
-    inst = threesat_to_instance(parse_dimacs("p cnf 3 8\n" + "\n".join(lines) + "\n"))
+    inst = _unsatisfiable_cnf()
     assert 22 < candidate_space_bits(inst.plant) < 23
     start = time.perf_counter()
     assert dispatch(inst.plant, inst.formula).verdict is Verdict.UNREALIZABLE
